@@ -39,19 +39,22 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 	for _, c := range rep.Crashes {
 		s += fmt.Sprintf(" crash=%d@%d/%d", c.Node, int64(c.At), c.ProcsKilled)
 	}
-	if br, ok := rt.System().(*rts.BroadcastRTS); ok {
-		lr, bw, gw := br.Stats()
-		s += fmt.Sprintf(" reads=%d writes=%d guardwaits=%d", lr, bw, gw)
-		if c := br.Counters(); c.BatchedOps > 0 {
-			// Batched runs pin their combining-pipeline counters too;
-			// unbatched runs keep the exact historical format.
-			s += fmt.Sprintf(" batched=%d bframes=%d", c.BatchedOps, c.Frames)
+	// The counter format follows the runtime's shape: one group alone
+	// (pure broadcast), one group plus the point-to-point runtime
+	// (mixed), or nothing for the other shapes.
+	if sys := rt.System(); sys.Groups() == 1 {
+		c := sys.Counters()
+		if sys.P2P() == nil {
+			s += fmt.Sprintf(" reads=%d writes=%d guardwaits=%d", c.LocalReads, c.BcastWrites, c.GuardWaits)
+			if c.BatchedOps > 0 {
+				// Batched runs pin their combining-pipeline counters
+				// too; unbatched runs keep the exact historical format.
+				s += fmt.Sprintf(" batched=%d bframes=%d", c.BatchedOps, c.Frames)
+			}
+		} else {
+			s += fmt.Sprintf(" reads=%d bwrites=%d guardwaits=%d rreads=%d pwrites=%d updates=%d",
+				c.LocalReads, c.BcastWrites, c.GuardWaits, c.RemoteReads, c.P2PWrites, c.Updates)
 		}
-	}
-	if mx, ok := rt.System().(*rts.MixedRTS); ok {
-		c := mx.Counters()
-		s += fmt.Sprintf(" reads=%d bwrites=%d guardwaits=%d rreads=%d pwrites=%d updates=%d",
-			c.LocalReads, c.BcastWrites, c.GuardWaits, c.RemoteReads, c.P2PWrites, c.Updates)
 	}
 	for _, busy := range rep.CPUBusy {
 		s += fmt.Sprintf(" cpu=%d", int64(busy))

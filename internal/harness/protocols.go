@@ -127,7 +127,7 @@ func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPer
 	cfg := rts.DefaultP2PConfig()
 	cfg.Protocol = proto
 	cfg.Placement = placement
-	r := rts.NewP2PRTS(reg, rts.DefaultCosts(), cfg, ms)
+	r := rts.NewRouter(reg, rts.DefaultCosts(), ms, rts.RouterConfig{P2P: &cfg})
 
 	var id rts.ObjID
 	var start, end sim.Time
@@ -170,7 +170,7 @@ func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPer
 	env.Stop()
 	stats := nw.Stats()
 	env.Shutdown()
-	return end - start, stats.Messages, r.Stats()
+	return end - start, stats.Messages, r.P2P().Stats()
 }
 
 // counterType is a small int object for the protocol workloads.

@@ -95,11 +95,13 @@ type Config struct {
 	Processors int
 	// RTS picks the runtime system.
 	RTS RTSKind
-	// Mixed hosts the broadcast runtime and the point-to-point runtime
-	// on the same machines, so individual objects can opt out of the
-	// RTS default with a creation policy (see NewWith and Policy).
-	// Objects created without a policy still follow RTS. Mixed implies
-	// broadcast-capable hardware regardless of RTS.
+	// Mixed hosts the broadcast runtime's sequencer groups and the
+	// point-to-point runtime on the same machines, so individual
+	// objects can opt out of the RTS default with a creation policy
+	// (see NewWith and Policy). Objects created without a policy still
+	// follow RTS. Mixed implies broadcast-capable hardware regardless
+	// of RTS, and composes with Shards, Batching and Protocol, which
+	// apply to the groups.
 	Mixed bool
 	// Seed drives all randomness in the simulation.
 	Seed int64
@@ -114,17 +116,18 @@ type Config struct {
 	P2P *rts.P2PConfig
 	// GroupMethod forces the broadcast method (PB/BB); zero is Auto.
 	GroupMethod group.Method
-	// Protocol picks the broadcast group's sequencing protocol: the
+	// Protocol picks every sequencer group's sequencing protocol: the
 	// zero value is the paper's elected sequencer; group.Consensus
 	// replaces it with the quorum-replicated log that survives
-	// sequencer loss without an election stall. Requires the broadcast
-	// runtime (or Mixed).
+	// sequencer loss without an election stall. Requires a sequencer
+	// group: RTS Broadcast, or Mixed.
 	Protocol group.Protocol
 	// Batching, when non-nil, turns on the broadcast runtime's
 	// batching pipeline (frame packing in the group layer plus
 	// per-worker write combining in the RTS). Off by default: the
-	// unbatched code paths are untouched and bit-identical. Under
-	// Mixed, batching applies to the broadcast subsystem only.
+	// unbatched code paths are untouched and bit-identical. Batching
+	// applies to the sequencer groups only, never to primary-copy
+	// objects.
 	Batching *Batching
 	// Sequencer picks the initial group sequencer for the broadcast
 	// runtime (default: processor 0). Fault experiments use it to put
@@ -135,12 +138,13 @@ type Config struct {
 	Sequencer int
 	// Shards splits the broadcast total order across this many
 	// independent sequencer groups, each on its own kernel port with
-	// its own sequencer; objects are assigned to a shard at creation
-	// (hash of the object id, or explicitly via OnShard / Sharded
-	// creation options) and unrelated objects sequence concurrently.
-	// 0 or 1 keeps the single group — every existing code path and
-	// golden untouched. Shards > 1 requires the pure broadcast runtime
-	// (RTS: Broadcast, not Mixed).
+	// its own sequencer; replicated objects are assigned to a shard at
+	// creation (hash of the object id, or explicitly via OnShard /
+	// Sharded creation options) and unrelated objects sequence
+	// concurrently. 0 or 1 keeps the single group — every existing
+	// code path and golden untouched. Shards > 1 requires a sequencer
+	// group (RTS Broadcast, or Mixed); under Mixed, primary-copy and
+	// adaptive objects live beside the sharded replicated ones.
 	Shards int
 	// ShardSpan is each sequencer group's replication domain size: the
 	// machines are cut into Processors/ShardSpan contiguous blocks and
@@ -150,7 +154,9 @@ type Config struct {
 	// the forwarder RPC). 0 means every shard spans all machines.
 	// Requires Shards > 1, Processors divisible by ShardSpan, and
 	// Shards divisible by the block count (so every machine hosts a
-	// shard).
+	// shard). Adaptive objects need full-span shards and are refused
+	// under ShardSpan: a moveout starts at the object's primary, which
+	// may lie outside the shard's domain.
 	ShardSpan int
 	// Faults, when non-nil, is the failure schedule for the run:
 	// machine crashes executed by the runtime (kernel, threads,
@@ -171,10 +177,7 @@ type Runtime struct {
 	env      *sim.Env
 	net      *netsim.Network
 	machines []*amoeba.Machine
-	members  []*group.Member
-	sys      rts.System
-	shardRT  *rts.ShardedRTS // non-nil when cfg.Shards > 1
-	fastRead rts.LocalReader // non-nil when sys serves typed local reads
+	sys      *rts.Router
 	reg      *rts.Registry
 
 	liveProcs int
@@ -231,114 +234,66 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	for i := 0; i < cfg.Processors; i++ {
 		rt.machines = append(rt.machines, amoeba.NewMachine(env, nw, i, kc))
 	}
-	rc := rts.DefaultCosts()
+	costs := rts.DefaultCosts()
 	if cfg.RTSCosts != nil {
-		rc = *cfg.RTSCosts
+		costs = *cfg.RTSCosts
 	}
-	// buildBroadcast joins every machine to the broadcast group and
-	// starts the broadcast runtime, with forks ordered in the same
-	// total order as object writes.
-	buildBroadcast := func() *rts.BroadcastRTS {
-		ids := make([]int, cfg.Processors)
+	// Broadcast-capable configurations get cfg.Shards sequencer groups
+	// (one when unsharded). The machines are cut into replication
+	// domains of span machines, group k replicating on block k mod
+	// blocks, and consecutive groups sequence on distinct machines.
+	groups, span := 0, cfg.Processors
+	if cfg.RTS == Broadcast || cfg.Mixed {
+		groups = max(cfg.Shards, 1)
+	}
+	if cfg.ShardSpan > 0 {
+		span = cfg.ShardSpan
+	}
+	switch {
+	case cfg.RTS != Broadcast && cfg.RTS != P2PUpdate && cfg.RTS != P2PInvalidate:
+		panic("orca: unknown RTS kind")
+	case cfg.Batching != nil && groups == 0:
+		panic("orca: Batching requires the broadcast runtime (or Mixed)")
+	case cfg.Protocol != group.ElectedSequencer && groups == 0:
+		panic("orca: Protocol selection requires the broadcast runtime (or Mixed)")
+	case cfg.Shards < 0:
+		panic(fmt.Sprintf("orca: negative shard count %d", cfg.Shards))
+	case cfg.Shards > 1 && groups == 0:
+		panic("orca: Shards requires the broadcast runtime (or Mixed)")
+	case cfg.ShardSpan != 0 && cfg.Shards <= 1:
+		panic("orca: ShardSpan requires Shards > 1")
+	case span > cfg.Processors || cfg.Processors%span != 0:
+		panic(fmt.Sprintf("orca: ShardSpan %d must divide Processors %d", span, cfg.Processors))
+	case groups%(cfg.Processors/span) != 0:
+		panic(fmt.Sprintf("orca: Shards %d must be a multiple of the %d domains (every machine must host a shard)", cfg.Shards, cfg.Processors/span))
+	}
+	rc := rts.RouterConfig{DefaultP2P: cfg.RTS != Broadcast}
+	blocks := cfg.Processors / span
+	for k := 0; k < groups; k++ {
+		ids := make([]int, span)
+		base := (k % blocks) * span
 		for i := range ids {
-			ids[i] = i
+			ids[i] = base + i
 		}
 		gcfg := group.DefaultConfig(ids)
 		gcfg.Method = cfg.GroupMethod
 		gcfg.Protocol = cfg.Protocol
-		gcfg.Sequencer = cfg.Sequencer
+		gcfg.Sequencer = ids[((k+cfg.Sequencer)%span+span)%span]
+		gcfg.Shard, gcfg.ShardCount = k, groups
 		if cfg.Batching != nil {
 			gcfg.Batch = cfg.Batching.batchConfig()
 			// Batched runs move MaxOps times the work per frame, so
 			// delivery-progress reports can be MaxOps times sparser
 			// for the same history-trimming lag — and every member
-			// reports, so the interval also scales with P to keep the
-			// aggregate status traffic flat (statuses contribute
-			// (P-1)/StatusEvery frames per delivered op). The trim
-			// lag stays a small fraction of HistoryMax.
-			pScale := cfg.Processors / 32
-			if pScale < 1 {
-				pScale = 1
-			}
-			gcfg.StatusEvery *= gcfg.Batch.MaxOps * pScale
+			// reports, so the interval also scales with the span to
+			// keep the aggregate status traffic flat (statuses
+			// contribute (span-1)/StatusEvery frames per delivered
+			// op). The trim lag stays a small fraction of HistoryMax.
+			gcfg.StatusEvery *= gcfg.Batch.MaxOps * max(span/32, 1)
 		}
-		for _, m := range rt.machines {
-			rt.members = append(rt.members, group.Join(m, gcfg))
-		}
-		br := rts.NewBroadcastRTS(rt.reg, rc, rt.machines, rt.members)
-		if cfg.Batching != nil {
-			br.EnableBatching(gcfg.Batch)
-		}
-		br.SetExtraHandler(func(node int, body any) {
-			if fm, ok := body.(forkMsg); ok && node == fm.Target {
-				rt.startFork(fm.FID)
-			}
-		})
-		return br
+		rc.Groups = append(rc.Groups, gcfg)
 	}
-	// buildSharded cuts the machines into replication domains, joins
-	// one sequencer group per shard (distinct port, rotated sequencer),
-	// and composes the shard runtimes into a ShardedRTS. Forks travel
-	// as barrier fences through every group spanning both machines; the
-	// kernel-port fallback below covers forks across disjoint domains.
-	buildSharded := func() *rts.ShardedRTS {
-		span := cfg.ShardSpan
-		if span <= 0 {
-			span = cfg.Processors
-		}
-		switch {
-		case span > cfg.Processors || cfg.Processors%span != 0:
-			panic(fmt.Sprintf("orca: ShardSpan %d must divide Processors %d", span, cfg.Processors))
-		case cfg.Shards%(cfg.Processors/span) != 0:
-			panic(fmt.Sprintf("orca: Shards %d must be a multiple of the %d domains (every machine must host a shard)", cfg.Shards, cfg.Processors/span))
-		}
-		blocks := cfg.Processors / span
-		defs := make([]rts.ShardDef, cfg.Shards)
-		for k := 0; k < cfg.Shards; k++ {
-			ids := make([]int, span)
-			base := (k % blocks) * span
-			for i := range ids {
-				ids[i] = base + i
-			}
-			gcfg := group.DefaultConfig(ids)
-			gcfg.Method = cfg.GroupMethod
-			gcfg.Protocol = cfg.Protocol
-			gcfg.Sequencer = ids[((k+cfg.Sequencer)%span+span)%span]
-			gcfg.Shard = k
-			gcfg.ShardCount = cfg.Shards
-			if cfg.Batching != nil {
-				gcfg.Batch = cfg.Batching.batchConfig()
-				pScale := span / 32
-				if pScale < 1 {
-					pScale = 1
-				}
-				gcfg.StatusEvery *= gcfg.Batch.MaxOps * pScale
-			}
-			members := make([]*group.Member, span)
-			for i, id := range ids {
-				members[i] = group.Join(rt.machines[id], gcfg)
-			}
-			defs[k] = rts.ShardDef{Members: members, Span: ids}
-		}
-		sh := rts.NewShardedRTS(rt.reg, rc, rt.machines, defs)
-		if cfg.Batching != nil {
-			sh.EnableBatching(cfg.Batching.batchConfig())
-		}
-		sh.SetExtraHandler(func(node int, body any) {
-			if fm, ok := body.(forkMsg); ok && node == fm.Target {
-				rt.startFork(fm.FID)
-			}
-		})
-		for _, m := range rt.machines {
-			m.Bind("orca-fork", func(p *sim.Proc, from int, pkt amoeba.Packet) {
-				rt.startFork(pkt.Body.(forkMsg).FID)
-			})
-		}
-		return sh
-	}
-	// p2pConfig resolves the point-to-point configuration, with the
-	// protocol forced by the RTS kind when that kind is point-to-point.
-	p2pConfig := func() rts.P2PConfig {
+	if cfg.RTS != Broadcast || cfg.Mixed {
 		pc := rts.DefaultP2PConfig()
 		if cfg.P2P != nil {
 			pc = *cfg.P2P
@@ -349,42 +304,14 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 		case P2PInvalidate:
 			pc.Protocol = rts.Invalidation
 		}
-		return pc
+		rc.P2P = &pc
 	}
-	switch {
-	case cfg.RTS != Broadcast && cfg.RTS != P2PUpdate && cfg.RTS != P2PInvalidate:
-		panic("orca: unknown RTS kind")
-	case cfg.Batching != nil && cfg.RTS != Broadcast && !cfg.Mixed:
-		panic("orca: Batching requires the broadcast runtime (or Mixed)")
-	case cfg.Protocol != group.ElectedSequencer && cfg.RTS != Broadcast && !cfg.Mixed:
-		panic("orca: Protocol selection requires the broadcast runtime (or Mixed)")
-	case cfg.Shards < 0:
-		panic(fmt.Sprintf("orca: negative shard count %d", cfg.Shards))
-	case cfg.Shards > 1 && (cfg.RTS != Broadcast || cfg.Mixed):
-		panic("orca: Shards requires the pure broadcast runtime (RTS: Broadcast, not Mixed)")
-	case cfg.ShardSpan != 0 && cfg.Shards <= 1:
-		panic("orca: ShardSpan requires Shards > 1")
-	case cfg.Shards > 1:
-		rt.shardRT = buildSharded()
-		rt.sys = rt.shardRT
-	case cfg.Mixed:
-		// Both managers share the machines and the group members; the
-		// RTS kind only picks where Default-policy objects live. Forks
-		// always travel the broadcast total order.
-		br := buildBroadcast()
-		p2p := rts.NewP2PRTS(rt.reg, rc, p2pConfig(), rt.machines)
-		rt.sys = rts.NewMixedRTS(br, p2p, cfg.RTS == Broadcast)
-	case cfg.RTS == Broadcast:
-		rt.sys = buildBroadcast()
-	default:
-		rt.sys = rts.NewP2PRTS(rt.reg, rc, p2pConfig(), rt.machines)
-		for _, m := range rt.machines {
-			m.Bind("orca-fork", func(p *sim.Proc, from int, pkt amoeba.Packet) {
-				rt.startFork(pkt.Body.(forkMsg).FID)
-			})
+	rt.sys = rts.NewRouter(rt.reg, costs, rt.machines, rc)
+	rt.sys.SetForkHandler("orca-fork", func(node int, body any) {
+		if fm, ok := body.(forkMsg); ok && node == fm.Target {
+			rt.startFork(fm.FID)
 		}
-	}
-	rt.fastRead, _ = rt.sys.(rts.LocalReader)
+	})
 	// Arm the fault plan last: link faults filter at the wire, and
 	// each crash entry fires rt.crashNode at its instant.
 	rt.net.InstallFaults(cfg.Faults, rt.crashNode)
@@ -404,7 +331,7 @@ func (rt *Runtime) startFork(fid int64) {
 }
 
 // System exposes the runtime system (for harness statistics).
-func (rt *Runtime) System() rts.System { return rt.sys }
+func (rt *Runtime) System() *rts.Router { return rt.sys }
 
 // Net exposes the simulated network (for harness statistics).
 func (rt *Runtime) Net() *netsim.Network { return rt.net }
@@ -412,25 +339,15 @@ func (rt *Runtime) Net() *netsim.Network { return rt.net }
 // Machines exposes the simulated kernels.
 func (rt *Runtime) Machines() []*amoeba.Machine { return rt.machines }
 
-// Stats returns the unified runtime-system counter snapshot: a pure
-// broadcast runtime fills the broadcast fields, a pure point-to-point
-// runtime the p2p fields, and a mixed runtime merges both.
-func (rt *Runtime) Stats() rts.RTSStats {
-	if src, ok := rt.sys.(rts.StatsSource); ok {
-		return src.Counters()
-	}
-	return rts.RTSStats{}
-}
+// Stats returns the unified runtime-system counter snapshot: the
+// sequencer groups fill the broadcast fields, the point-to-point
+// runtime the p2p fields, and a runtime hosting both merges them.
+func (rt *Runtime) Stats() rts.RTSStats { return rt.sys.Counters() }
 
-// GroupStats returns per-member broadcast protocol counters (empty for
-// the point-to-point runtimes).
-func (rt *Runtime) GroupStats() []group.Stats {
-	var out []group.Stats
-	for _, g := range rt.members {
-		out = append(out, g.Stats())
-	}
-	return out
-}
+// GroupStats returns per-member broadcast protocol counters of every
+// sequencer group, in group order and, within a group, in machine
+// order (empty for the pure point-to-point runtimes).
+func (rt *Runtime) GroupStats() []group.Stats { return rt.sys.GroupStats() }
 
 // Env exposes the simulation environment.
 func (rt *Runtime) Env() *sim.Env { return rt.env }
@@ -466,9 +383,10 @@ type Report struct {
 	// RTS is the unified runtime-system counter snapshot (see
 	// Runtime.Stats).
 	RTS rts.RTSStats
-	// Shards holds each sequencer group's own counter snapshot when
-	// the runtime is sharded (Config.Shards > 1); RTS is their merge.
-	// Nil otherwise.
+	// Shards holds each sequencer group's own counter snapshot, in
+	// group order, when the runtime is sharded (Config.Shards > 1); RTS
+	// merges them with the point-to-point runtime's counters. Nil
+	// otherwise.
 	Shards []rts.RTSStats
 	// CPUBusy is each machine's total CPU-busy time (kernel +
 	// application).
@@ -510,12 +428,10 @@ func (rt *Runtime) Run(main func(p *Proc)) Report {
 		RTS:      rt.Stats(),
 		Crashes:  rt.Crashes(),
 	}
-	if rt.shardRT != nil {
-		rep.Shards = rt.shardRT.ShardStats()
+	if rt.sys.Groups() > 1 {
+		rep.Shards = rt.sys.GroupCounters()
 	}
-	if mx, ok := rt.sys.(*rts.MixedRTS); ok {
-		rep.Placements = mx.AdaptivePlacements()
-	}
+	rep.Placements = rt.sys.AdaptivePlacements()
 	if len(rt.hists) > 0 {
 		rep.Latency = rt.hists
 	}
@@ -620,25 +536,16 @@ func (p *Proc) New(typeName string, args ...any) Object {
 	return Object{id: p.rt.sys.Create(p.w, typeName, args...), rt: p.rt}
 }
 
-// NewOn creates a shared object replicated only on the given
-// processors — the paper's partial-replication optimization ("an
-// optimizing scheme using partial replication is under development").
-// Operations from other processors are forwarded to a replica holder.
-// Nil nodes means full replication.
-//
-// Deprecated: use NewWith with With(ReplicatedOn(nodes...)).
-func (p *Proc) NewOn(typeName string, nodes []int, args ...any) Object {
-	return p.NewWith(typeName, Opts(With(Replicated), At(nodes...)), args...)
-}
-
 // Fork creates a new Orca process running fn on the given processor
 // (the paper's `fork func(args) on cpu`; cpu < 0 means the current
 // one). Shared objects are passed by closing over their handles,
 // mirroring Orca's call-by-reference object parameters.
 //
-// Remote forks travel as messages: under the broadcast runtime the
-// fork joins the same total order as object writes, and under the
-// point-to-point runtime it is a kernel message to the target. Either
+// Remote forks travel as messages: with one sequencer group the fork
+// joins the same total order as object writes, with several it is a
+// barrier fence through every group spanning both processors, and
+// without a common group (the point-to-point runtime, disjoint
+// replication domains) it is a kernel message to the target. Either
 // way a child never observes the shared objects as they were before
 // its parent's preceding writes.
 func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
@@ -667,28 +574,7 @@ func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
 	fid := rt.forkSeq
 	rt.forks[fid] = forkEntry{name: name, cpu: cpu, origin: p.CPU(), fn: fn}
 	rt.liveProcs++
-	msg := forkMsg{FID: fid, Target: cpu}
-	if rt.shardRT != nil {
-		// The fork travels as a barrier fence: it starts on the target
-		// only after every shard spanning both machines has delivered
-		// it there, so the child observes all of this process's
-		// preceding writes in every one of those shards. Disjoint
-		// replication domains (no common shard) fall back to a kernel
-		// message with point-to-point fork ordering.
-		if !rt.shardRT.ForkFence(p.w, cpu, msg, 32) {
-			rt.machines[p.CPU()].Send(p.w.P, cpu, amoeba.Packet{
-				Port: "orca-fork", Kind: "orca-fork", Body: msg, Size: 32,
-			})
-		}
-		return
-	}
-	if len(rt.members) > 0 {
-		rt.members[p.CPU()].Broadcast(p.w.P, "orca-fork", msg, 32)
-		return
-	}
-	rt.machines[p.CPU()].Send(p.w.P, cpu, amoeba.Packet{
-		Port: "orca-fork", Kind: "orca-fork", Body: msg, Size: 32,
-	})
+	rt.sys.Fork(p.w, cpu, forkMsg{FID: fid, Target: cpu}, 32)
 }
 
 // Invoke performs an operation on a shared object: sequentially
@@ -708,10 +594,7 @@ func (p *Proc) Invoke(o Object, op string, args ...any) []any {
 // argument boxing, no result allocation. ok == false means the caller
 // must take the general Invoke path.
 func (p *Proc) readState(o Object, def *rts.OpDef) (rts.State, bool) {
-	if p.rt.fastRead == nil {
-		return nil, false
-	}
-	return p.rt.fastRead.LocalReadState(p.w, o.id, def)
+	return p.rt.sys.LocalReadState(p.w, o.id, def)
 }
 
 // InvokeI is Invoke for the common single-int-result case.
@@ -740,19 +623,15 @@ type FencedOp struct {
 // returned; fenced operations are writes issued for effect (a
 // transfer, a multi-object commit).
 //
-// Requires the sharded runtime: on any other runtime a single group
-// already orders all writes totally and a fence is meaningless, so
-// this panics rather than silently degrading.
+// The objects must be replicated (not PrimaryCopy or Adaptive), and
+// the invoking processor must lie in every touched shard's replication
+// domain. On a single group the fence is one message in its total
+// order. A runtime without a sequencer group (pure point-to-point)
+// panics.
 func (p *Proc) InvokeFenced(ops ...FencedOp) {
-	if p.rt.shardRT == nil {
-		panic("orca: InvokeFenced requires Config.Shards > 1")
-	}
-	if len(ops) == 0 {
-		return
-	}
 	rops := make([]rts.FencedOp, len(ops))
 	for i, op := range ops {
 		rops[i] = rts.FencedOp{ID: op.Obj.id, Op: op.Op, Args: op.Args}
 	}
-	p.rt.shardRT.InvokeFenced(p.w, rops)
+	p.rt.sys.InvokeFenced(p.w, rops)
 }

@@ -134,8 +134,9 @@ func (p adaptivePolicy) applyPolicy(cs *createSpec) {
 // itself mid-run — replicated to primary copy, primary copy to
 // replicated, primary re-homing toward the hottest writer — as the
 // observed access pattern warrants (see rts/adapt.go). The zero
-// AdaptConfig selects the default thresholds. Requires Config.Mixed:
-// the controller migrates objects between both runtime subsystems.
+// AdaptConfig selects the default thresholds. Requires Config.Mixed —
+// the controller migrates objects between both runtime subsystems —
+// and, on a sharded runtime, full-span shards (ShardSpan 0).
 func Adaptive(cfg rts.AdaptConfig) Policy { return adaptivePolicy{cfg: cfg} }
 
 // Option configures one object creation. Build options with With and
@@ -207,83 +208,46 @@ func (p *Proc) NewWith(typeName string, opts []Option, args ...any) Object {
 	return Object{id: p.rt.create(p.w, typeName, cs, args), rt: p.rt}
 }
 
-// create routes one creation spec onto the configured runtime system.
+// create routes one creation spec onto the runtime system. The only
+// refusals name a subsystem the configuration did not build.
 func (rt *Runtime) create(w *rts.Worker, typeName string, cs createSpec, args []any) rts.ObjID {
+	sys := rt.sys
+	group := -1
 	if cs.shardSel != shardAuto {
-		if _, ok := rt.sys.(*rts.ShardedRTS); !ok {
+		n := sys.Groups()
+		if n < 2 {
 			panic("orca: OnShard/Sharded require a sharded runtime (Config.Shards > 1)")
 		}
+		group = ((cs.shard % n) + n) % n
+		if cs.shardSel == shardExplicit && group != cs.shard {
+			panic(fmt.Sprintf("orca: OnShard(%d) out of range [0,%d)", cs.shard, n))
+		}
 	}
-	switch sys := rt.sys.(type) {
-	case *rts.ShardedRTS:
-		switch cs.mode {
-		case modePrimaryCopy:
-			panic("orca: PrimaryCopy placement requires the point-to-point runtime or Config.Mixed")
-		case modeAdaptive:
-			panic("orca: Adaptive placement requires Config.Mixed")
-		default:
-			shard := -1
-			switch cs.shardSel {
-			case shardExplicit:
-				if cs.shard < 0 || cs.shard >= sys.Shards() {
-					panic(fmt.Sprintf("orca: OnShard(%d) out of range [0,%d)", cs.shard, sys.Shards()))
-				}
-				shard = cs.shard
-			case shardKeyed:
-				n := sys.Shards()
-				shard = ((cs.shard % n) + n) % n
-			}
-			return sys.CreateSharded(w, typeName, shard, cs.nodes, args...)
+	switch cs.mode {
+	case modeDefault:
+		if rt.cfg.RTS == Broadcast {
+			return sys.CreateReplicated(w, typeName, group, cs.nodes, args...)
 		}
-	case *rts.MixedRTS:
-		switch cs.mode {
-		case modeReplicated:
-			return sys.CreateReplicated(w, typeName, cs.nodes, args...)
-		case modeAdaptive:
-			return sys.CreateAdaptive(w, typeName, cs.adapt, args...)
-		case modePrimaryCopy:
-			checkPrimaryNodes(w, cs.nodes)
-			return sys.CreatePrimaryCopy(w, typeName, cs.protocol, cs.placement, args...)
-		default:
-			if cs.nodes != nil {
-				// A bare At follows the default runtime's placement
-				// form: partial replication under a broadcast default.
-				if rt.cfg.RTS == Broadcast {
-					return sys.CreateReplicated(w, typeName, cs.nodes, args...)
-				}
-				panic("orca: At without a policy needs a broadcast default runtime; say With(ReplicatedOn(...)) or With(PrimaryCopy{...})")
-			}
-			return sys.Create(w, typeName, args...)
+		if cs.nodes != nil {
+			panic("orca: At without a policy needs a broadcast default runtime; say With(ReplicatedOn(...)) or With(PrimaryCopy{...})")
 		}
-	case *rts.BroadcastRTS:
-		switch cs.mode {
-		case modePrimaryCopy:
-			panic("orca: PrimaryCopy placement requires the point-to-point runtime or Config.Mixed")
-		case modeAdaptive:
-			panic("orca: Adaptive placement requires Config.Mixed")
-		default:
-			if cs.nodes != nil {
-				return sys.CreateOn(w, typeName, cs.nodes, args...)
-			}
-			return sys.Create(w, typeName, args...)
-		}
-	case *rts.P2PRTS:
-		switch cs.mode {
-		case modeReplicated:
+		return sys.Create(w, typeName, args...)
+	case modeReplicated:
+		if sys.Groups() == 0 {
 			panic("orca: Replicated placement requires broadcast hardware; use RTS: Broadcast or Config.Mixed")
-		case modeAdaptive:
-			panic("orca: Adaptive placement requires Config.Mixed")
-		case modePrimaryCopy:
-			checkPrimaryNodes(w, cs.nodes)
-			return sys.CreateWith(w, typeName, cs.protocol, cs.placement, args...)
-		default:
-			if cs.nodes != nil {
-				panic("orca: At requires a replicated policy (the point-to-point runtime places copies dynamically)")
-			}
-			return sys.Create(w, typeName, args...)
 		}
+		return sys.CreateReplicated(w, typeName, group, cs.nodes, args...)
+	case modePrimaryCopy:
+		if sys.P2P() == nil {
+			panic("orca: PrimaryCopy placement requires the point-to-point runtime or Config.Mixed")
+		}
+		checkPrimaryNodes(w, cs.nodes)
+		return sys.CreatePrimaryCopy(w, typeName, cs.protocol, cs.placement, args...)
 	default:
-		panic(fmt.Sprintf("orca: unknown runtime system %T", rt.sys))
+		if sys.Groups() == 0 || sys.P2P() == nil {
+			panic("orca: Adaptive placement requires Config.Mixed")
+		}
+		return sys.CreateAdaptive(w, typeName, cs.adapt, args...)
 	}
 }
 

@@ -182,3 +182,44 @@ func TestFencePresumedAbortOnInitiatorCrash(t *testing.T) {
 		})
 	}
 }
+
+// TestShardElectionsSumAcrossGroups: independent sequencer groups
+// recover independently, so the merged report counts each group's
+// election. With 8 shards rotated over 4 machines, machine 1 sequences
+// shards 1 and 5; its crash costs one election in each, and
+// Report.RTS.Elections must say 2, not the single election a
+// max-merge over groups would report.
+func TestShardElectionsSumAcrossGroups(t *testing.T) {
+	const procs, shards, rounds = 4, 8, 30
+	plan := &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 1, At: 20 * sim.Millisecond}}}
+	rt := orca.New(orca.Config{Processors: procs, RTS: orca.Broadcast, Shards: shards,
+		Seed: 44, Faults: plan}, std.Register)
+	rep := rt.Run(func(p *orca.Proc) {
+		counters := make([]orca.Object, shards)
+		for k := range counters {
+			counters[k] = p.NewWith(std.IntObj, orca.Opts(orca.OnShard(k)))
+		}
+		done := p.NewWith(std.BarrierObj, orca.Opts(orca.OnShard(0)), 2)
+		for _, cpu := range []int{2, 3} {
+			p.Fork(cpu, fmt.Sprintf("w%d", cpu), func(wp *orca.Proc) {
+				for r := 0; r < rounds; r++ {
+					for k := range counters {
+						wp.Invoke(counters[k], "inc")
+					}
+					wp.Work(sim.Millisecond)
+				}
+				wp.Invoke(done, "arrive")
+			})
+		}
+		p.Invoke(done, "wait")
+	})
+	if rep.TimedOut {
+		t.Fatalf("timed out; blocked: %v", rep.Blocked)
+	}
+	if rep.Shards[1].Elections != 1 || rep.Shards[5].Elections != 1 {
+		t.Fatalf("elections in shards 1 and 5 = %d, %d; want 1 each", rep.Shards[1].Elections, rep.Shards[5].Elections)
+	}
+	if rep.RTS.Elections != 2 {
+		t.Fatalf("Report.RTS.Elections = %d, want 2 (one per recovered group)", rep.RTS.Elections)
+	}
+}

@@ -131,7 +131,10 @@ func TestInvokeFencedAtomicTransfer(t *testing.T) {
 	}
 }
 
-func TestInvokeFencedRequiresShardedRuntime(t *testing.T) {
+// TestInvokeFencedRequiresGroup: a fence is a record in sequencer
+// group streams, so a runtime without a group (pure point-to-point)
+// refuses it.
+func TestInvokeFencedRequiresGroup(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 2, RTS: orca.P2PInvalidate, Seed: 14}, std.Register)
 	rt.Run(func(p *orca.Proc) {
 		o := p.New(std.IntObj)
@@ -315,5 +318,30 @@ func TestShardedCrashOneShardOthersAdvance(t *testing.T) {
 	}
 	if finals[2] != 40 || finals[3] != 40 {
 		t.Fatalf("surviving-shard counters = %v, want 40s in shards 2,3", finals)
+	}
+}
+
+// TestShardedGroupStatsCoverEveryGroup: GroupStats lists every member
+// of every sequencer group, in group order — Shards × span entries.
+func TestShardedGroupStatsCoverEveryGroup(t *testing.T) {
+	const procs, shards, span = 8, 4, 4
+	rt := orca.New(orca.Config{Processors: procs, RTS: orca.Broadcast,
+		Shards: shards, ShardSpan: span, Seed: 45}, std.Register)
+	rt.Run(func(p *orca.Proc) {
+		o := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
+		for i := 0; i < 5; i++ {
+			p.Invoke(o, "inc")
+		}
+	})
+	gs := rt.GroupStats()
+	if len(gs) != shards*span {
+		t.Fatalf("GroupStats has %d entries, want %d", len(gs), shards*span)
+	}
+	var delivered int64
+	for _, s := range gs {
+		delivered += s.Delivered
+	}
+	if delivered == 0 {
+		t.Fatal("no deliveries recorded across the groups")
 	}
 }

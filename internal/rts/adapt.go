@@ -12,11 +12,11 @@ import (
 // patterns; PR 3 made that choice per object but froze it at creation.
 // This file adds the per-object placement controller and the
 // deterministic migration protocol that moves an object between the
-// broadcast subsystem (fully replicated) and the point-to-point
-// subsystem (primary copy) of a MixedRTS mid-run.
+// object's sequencer group (fully replicated) and the point-to-point
+// runtime (primary copy) of a Router mid-run.
 //
 // The cut point for a broadcast<->primary transition is a sequenced
-// migrate record through the broadcast total order: every member
+// migrate record through the object's group total order: every member
 // switches routing at the same position in the order, invocations
 // sequenced before the record complete under the old placement, and
 // invocations sequenced after it bounce with a private retry sentinel
@@ -30,7 +30,7 @@ import (
 
 // migrateRetry is the private bounce sentinel. An invocation that
 // reaches an object's old placement after the migration cut completes
-// with retrySlice instead of a result; the MixedRTS routing loop
+// with retrySlice instead of a result; the Router's routing loop
 // recognizes the pointer identity and re-issues the operation under
 // the new placement. No legitimate operation result can collide with
 // it: the pointer never escapes this package.
@@ -177,6 +177,7 @@ func adaptDecide(cfg AdaptConfig, replicated bool, primary int, ewmaWriteFrac fl
 type adaptInfo struct {
 	cfg      AdaptConfig
 	typ      *ObjectType
+	group    int // the sequencer group hosting the replicated placement
 	ctorArgs []any
 	ops      opCache
 
@@ -211,25 +212,35 @@ func (info *adaptInfo) resetWindow() {
 }
 
 // CreateAdaptive creates an object under the adaptive placement
-// controller: it starts fully replicated on the broadcast subsystem
-// and re-places itself as the observed access pattern warrants.
-// Adaptive objects are excluded from the write-combining pipeline —
-// a combined write parked in a worker's buffer across the migration
-// cut would be silently dropped by the moved replica.
-func (m *MixedRTS) CreateAdaptive(w *Worker, typeName string, cfg AdaptConfig, args ...any) ObjID {
-	t := m.br.reg.Lookup(typeName)
-	id := m.br.Create(w, typeName, args...)
-	m.owner[id] = m.br
-	m.br.noBatch(id)
-	if m.adapt == nil {
-		m.adapt = make(map[ObjID]*adaptInfo)
+// controller: it starts fully replicated in the group its id hashes to
+// and re-places itself as the observed access pattern warrants. The
+// group must span every machine — a moveout starts at the primary,
+// wherever it lives, and sequences its cut through the object's group
+// — and the point-to-point runtime must exist. Adaptive objects are
+// excluded from the write-combining pipeline: a combined write parked
+// in a worker's buffer across the migration cut would be silently
+// dropped by the moved replica.
+func (r *Router) CreateAdaptive(w *Worker, typeName string, cfg AdaptConfig, args ...any) ObjID {
+	if r.p2p == nil {
+		panic("rts: adaptive object on a runtime without the point-to-point subsystem")
 	}
-	m.adapt[id] = &adaptInfo{
+	id := r.CreateReplicated(w, typeName, -1, nil, args...)
+	k := r.homeOf(id)
+	g := r.groups[k]
+	if len(g.span) != len(r.machines) {
+		panic(fmt.Sprintf("rts: adaptive object in group %d, whose span %v is not every machine", k, g.span))
+	}
+	g.noBatch(id)
+	if r.adapt == nil {
+		r.adapt = make(map[ObjID]*adaptInfo)
+	}
+	r.adapt[id] = &adaptInfo{
 		cfg:      cfg.withDefaults(),
-		typ:      t,
+		typ:      r.reg.Lookup(typeName),
+		group:    k,
 		ctorArgs: append([]any(nil), args...),
-		reads:    make([]int64, m.Nodes()),
-		writes:   make([]int64, m.Nodes()),
+		reads:    make([]int64, len(r.machines)),
+		writes:   make([]int64, len(r.machines)),
 		cond:     sim.NewCond(w.M.Env()),
 	}
 	return id
@@ -237,16 +248,16 @@ func (m *MixedRTS) CreateAdaptive(w *Worker, typeName string, cfg AdaptConfig, a
 
 // AdaptivePlacements reports every adaptive object's current
 // placement ("replicated" or "primary@N") for reports and tests.
-func (m *MixedRTS) AdaptivePlacements() map[ObjID]string {
-	if len(m.adapt) == 0 {
+func (r *Router) AdaptivePlacements() map[ObjID]string {
+	if len(r.adapt) == 0 {
 		return nil
 	}
-	out := make(map[ObjID]string, len(m.adapt))
-	for id := range m.adapt {
-		if m.owner[id] == System(m.br) {
+	out := make(map[ObjID]string, len(r.adapt))
+	for id := range r.adapt {
+		if r.home[id] != homeP2P {
 			out[id] = "replicated"
 		} else {
-			out[id] = fmt.Sprintf("primary@%d", m.p2p.meta(id).primary)
+			out[id] = fmt.Sprintf("primary@%d", r.p2p.meta(id).primary)
 		}
 	}
 	return out
@@ -256,8 +267,8 @@ func (m *MixedRTS) AdaptivePlacements() map[ObjID]string {
 // decision (the typed local-read fast path uses it; reads never
 // trigger a migration of a replicated object, and primary-copy reads
 // take the Invoke path).
-func (m *MixedRTS) adaptCount(w *Worker, id ObjID, kind OpKind) {
-	info := m.adapt[id]
+func (r *Router) adaptCount(w *Worker, id ObjID, kind OpKind) {
+	info := r.adapt[id]
 	if info == nil {
 		return
 	}
@@ -272,8 +283,8 @@ func (m *MixedRTS) adaptCount(w *Worker, id ObjID, kind OpKind) {
 // adaptObserve records one completed Invoke-path access and, when a
 // statistics window fills, runs the placement decision — migrating
 // the object from the invoking worker's context if it fires.
-func (m *MixedRTS) adaptObserve(w *Worker, id ObjID, opName string) {
-	info := m.adapt[id]
+func (r *Router) adaptObserve(w *Worker, id ObjID, opName string) {
+	info := r.adapt[id]
 	if info == nil {
 		return
 	}
@@ -287,21 +298,21 @@ func (m *MixedRTS) adaptObserve(w *Worker, id ObjID, opName string) {
 	if info.seen < info.cfg.SampleEvery || info.migrating {
 		return
 	}
-	replicated := m.owner[id] == System(m.br)
+	replicated := r.home[id] != homeP2P
 	primary := -1
 	if !replicated {
-		primary = m.p2p.meta(id).primary
+		primary = r.p2p.meta(id).primary
 	}
 	act, target := info.step(replicated, primary, w.M.Env().Now())
 	if act == adaptStay {
 		return
 	}
 	if act == adaptToPrimary || act == adaptRehome {
-		if m.p2p.nodeDown(target) {
+		if r.p2p.nodeDown(target) {
 			return // never migrate toward a dead machine
 		}
 	}
-	m.startMigration(w, id, info, act, target)
+	r.startMigration(w, id, info, act, target)
 }
 
 // step folds the completed statistics window into the EWMA and returns
@@ -338,7 +349,7 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 // returns with the flip (or abort) complete, so the controller's
 // dwell clock and the migrating flag are consistent when the worker
 // continues.
-func (m *MixedRTS) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptAction, target int) {
+func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptAction, target int) {
 	env := w.M.Env()
 	info.migrating = true
 	info.toBr = false
@@ -350,9 +361,9 @@ func (m *MixedRTS) startMigration(w *Worker, id ObjID, info *adaptInfo, act adap
 	env.Tracef("rts: object %d migration %s (target %d) from node %d", id, act, target, w.Node())
 	switch act {
 	case adaptToPrimary:
-		// Sequence the cut through the broadcast total order; the
-		// globally-first delivery flips ownership (see handleMigrate).
-		mgr := m.br.mgr(w.Node())
+		// Sequence the cut through the group's total order; the
+		// globally-first delivery flips the home (see handleMigrate).
+		mgr := r.groups[info.group].mgr(w.Node())
 		mgr.syncBuf(w)
 		w.Flush()
 		uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: target}, 24)
@@ -368,41 +379,42 @@ func (m *MixedRTS) startMigration(w *Worker, id ObjID, info *adaptInfo, act adap
 	case adaptToReplicated:
 		// The primary's task queue is the cut: a moveout task drops
 		// every copy and hands the state to the broadcast group.
-		m.p2p.nodes[w.Node()].submitMigrate(w, m.p2p.meta(id), "moveout", -1)
-		m.awaitFlip(w, id, info, m.p2p)
+		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "moveout", -1)
+		r.awaitFlip(w, id, info, homeP2P)
 	case adaptRehome:
-		m.p2p.nodes[w.Node()].submitMigrate(w, m.p2p.meta(id), "rehome", target)
+		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "rehome", target)
 		info.migrating = false
 		info.last = env.Now()
-		m.migrations++
-		m.migrationUS += float64(env.Now()-info.start) / float64(sim.Microsecond)
+		r.migrations++
+		r.migrationUS += float64(env.Now()-info.start) / float64(sim.Microsecond)
 		info.cond.Broadcast()
 	}
 }
 
 // finishMigration runs exactly once per broadcast-sequenced migration,
 // at the globally-first delivery of its migrate record: it flips the
-// owner, stamps the counters, and releases every bounced waiter.
-func (m *MixedRTS) finishMigration(info *adaptInfo, id ObjID, to System, now sim.Time) {
-	m.owner[id] = to
+// home, stamps the counters, and releases every bounced waiter.
+func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time) {
+	r.home[id] = int32(to)
 	info.migrating = false
 	info.cloned = nil
 	info.last = now
-	m.migrations++
-	m.migrationUS += float64(now-info.start) / float64(sim.Microsecond)
+	r.migrations++
+	r.migrationUS += float64(now-info.start) / float64(sim.Microsecond)
 	info.cond.Broadcast()
 }
 
 // awaitFlip blocks until an in-flight migration moves the object away
-// from the given subsystem (or aborts). If the machine driving a
+// from the given home (or aborts). If the machine driving a
 // moveout dies after the cut but possibly before its migrate record
 // reached the sequencer, the first waiter re-broadcasts the record
 // from its own machine using the snapshot kept in info.cloned —
 // duplicate records are idempotent at delivery.
-func (m *MixedRTS) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from System) {
-	for info.migrating && m.sub(id) == from {
-		if info.toBr && !info.decided && info.cloned != nil && m.p2p.nodeDown(info.fromNode) {
-			mgr := m.br.mgr(w.Node())
+func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
+	g := r.groups[info.group]
+	for info.migrating && r.homeOf(id) == from {
+		if info.toBr && !info.decided && info.cloned != nil && r.p2p.nodeDown(info.fromNode) {
+			mgr := g.mgr(w.Node())
 			w.Flush()
 			size := info.typ.stateSize(info.cloned) + 24
 			uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: info.cloned}, size)
@@ -411,14 +423,14 @@ func (m *MixedRTS) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from System) 
 		}
 		info.cond.Wait(w.P)
 	}
-	if m.sub(id) == System(m.br) {
-		// The object is broadcast-owned but this node's replica may
+	if r.homeOf(id) != homeP2P {
+		// The object is group-hosted but this node's replica may
 		// still be the frozen pre-migration one: the flip runs at the
 		// globally-first delivery of the install record, and this
 		// node's own delivery — which replaces the frozen replica —
 		// can lag it. Wait for the replacement so the retry reads live
 		// state instead of bouncing forever.
-		mgr := m.br.mgr(w.Node())
+		mgr := g.mgr(w.Node())
 		for {
 			inst, ok := mgr.insts[id]
 			if ok && !inst.moved {
@@ -436,8 +448,8 @@ func (m *MixedRTS) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from System) 
 // replica moved, bouncing its guard waiters, installing a fresh
 // replica) run at every manager, each at its own position in the
 // total order.
-func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate) {
-	info := m.adapt[wm.Obj]
+func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate) {
+	info := r.adapt[wm.Obj]
 	if info == nil {
 		panic(fmt.Sprintf("rts: migrate record for non-adaptive object %d", wm.Obj))
 	}
@@ -453,7 +465,7 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 			}
 			t := info.typ
 			st := t.Clone(wm.State)
-			mgr.charge(p, m.br.costs.Create)
+			mgr.charge(p, mgr.rts.costs.Create)
 			inst := &bcastInstance{
 				typ:   t,
 				state: st,
@@ -467,7 +479,7 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 		}
 		if !info.decided {
 			info.decided = true
-			m.finishMigration(info, wm.Obj, m.br, now)
+			r.finishMigration(info, wm.Obj, info.group, now)
 		}
 		mgr.complete(p, uid, src, nil)
 		return
@@ -475,7 +487,7 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 	// broadcast -> primary copy at wm.Target.
 	if !info.decided {
 		info.decided = true
-		if m.p2p.nodeDown(wm.Target) {
+		if r.p2p.nodeDown(wm.Target) {
 			// The target died before the cut. Decided exactly once, at
 			// the globally-first delivery, so every manager (and the
 			// initiator) observes the same abort.
@@ -485,8 +497,8 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 			// position of the total order, as every replica does at
 			// its own delivery of this record.
 			inst := mgr.insts[wm.Obj]
-			m.installPrimary(wm.Obj, info, wm.Target, info.typ.Clone(inst.state))
-			m.finishMigration(info, wm.Obj, m.p2p, now)
+			r.installPrimary(wm.Obj, info, wm.Target, info.typ.Clone(inst.state))
+			r.finishMigration(info, wm.Obj, homeP2P, now)
 		}
 	}
 	if !info.aborted {
@@ -507,17 +519,17 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 // installPrimary places a migrated state as a single primary copy on
 // the target machine's point-to-point runtime, reusing the object's
 // meta and primary thread if the object lived there before.
-func (m *MixedRTS) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
-	r := m.p2p
-	tn := r.nodes[target]
+func (r *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
+	pr := r.p2p
+	tn := pr.nodes[target]
 	tn.installCopy(id, info.typ, st)
 	inst := tn.insts[id]
 	inst.primary = true
 	inst.copyset = make(map[int]bool)
-	meta, ok := r.objs[id]
+	meta, ok := pr.objs[id]
 	if !ok {
 		meta = &p2pMeta{id: id, typ: info.typ, ctorArgs: info.ctorArgs}
-		r.objs[id] = meta
+		pr.objs[id] = meta
 	}
 	meta.primary = target
 	meta.protocol = Update
@@ -528,4 +540,51 @@ func (m *MixedRTS) installPrimary(id ObjID, info *adaptInfo, target int, st Stat
 		tn.queues[id] = q
 		tn.m.SpawnThread(fmt.Sprintf("obj%d", id), func(pp *sim.Proc) { tn.objectLoop(pp, id, q) })
 	}
+}
+
+// snapMoveout records a moveout's state snapshot before its cut, so a
+// crash of the driving machine mid-moveout can be rescued (see
+// awaitFlip). The point-to-point runtime calls it from the primary's
+// object thread.
+func (r *Router) snapMoveout(node int, id ObjID, state State) {
+	info := r.adapt[id]
+	info.toBr = true
+	info.fromNode = node
+	info.cloned = state
+}
+
+// sequenceMoveout broadcasts a moveout's migrate record from node into
+// the object's group and waits for its local delivery, whose
+// globally-first instance flips the home (see handleMigrate).
+func (r *Router) sequenceMoveout(p *sim.Proc, node int, id ObjID, state State) {
+	info := r.adapt[id]
+	mgr := r.groups[info.group].mgr(node)
+	size := info.typ.stateSize(state) + 24
+	uid := mgr.g.Broadcast(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, size)
+	mgr.await(p, uid)
+}
+
+// recoverState gives point-to-point crash recovery a better restart
+// point than the creation arguments: an adaptive object that migrated
+// in from its group left a frozen replica of its cut-point state on
+// every machine, and restarting from that snapshot loses only the
+// writes acknowledged by the dead primary after the cut. Every live
+// machine's frozen replica holds the same state — the prefix of the
+// total order up to the cut — so the lowest-numbered one is as good as
+// any and the choice is deterministic. Returns nil when no snapshot
+// exists.
+func (r *Router) recoverState(meta *p2pMeta) State {
+	info := r.adapt[meta.id]
+	if info == nil {
+		return nil
+	}
+	for _, mgr := range r.groups[info.group].mgrs {
+		if mgr.m.Crashed() {
+			continue
+		}
+		if inst, ok := mgr.insts[meta.id]; ok && inst.moved {
+			return info.typ.Clone(inst.state)
+		}
+	}
+	return nil
 }

@@ -318,7 +318,7 @@ func TestAdaptAbortWhenTargetDiesBeforeCut(t *testing.T) {
 		m.Invoke(w, id, "inc")
 		bumped = m.Invoke(w, id, "get")[0].(int)
 	})
-	b.env.At(12100*sim.Microsecond, func() { b.crash(1, m) })
+	b.env.At(12100*sim.Microsecond, func() { b.crash(1) })
 	b.run(30 * sim.Second)
 	if after != 7 {
 		t.Errorf("value after aborted migration = %d, want 7", after)
@@ -385,7 +385,7 @@ func TestAdaptMoveoutRescuedAfterDriverCrash(t *testing.T) {
 			finals[node] = m.Invoke(w, id, "get")[0].(int)
 		})
 	}
-	b.env.At(22200*sim.Microsecond, func() { b.crash(1, m) })
+	b.env.At(22200*sim.Microsecond, func() { b.crash(1) })
 	b.run(30 * sim.Second)
 	if finals[0] != 8 || finals[2] != 8 {
 		t.Errorf("survivor reads = %d/%d, want 8/8 (no write may be lost across the rescued moveout)",

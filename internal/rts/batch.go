@@ -1,7 +1,7 @@
 package rts
 
-// Write combining for the broadcast runtime (see
-// BroadcastRTS.EnableBatching).
+// Write combining for the broadcast runtime, on in every group whose
+// members run a batching group.Config (see RouterConfig.Groups).
 //
 // Each worker owns a combining buffer. An unguarded, no-result write
 // (the DefUpdate* shapes: queue add, counter assign, flag set) does
@@ -211,6 +211,16 @@ func (b *writeBuf) sync(w *Worker) {
 			continue
 		}
 		return
+	}
+}
+
+// follow drains the buffer into its own group and re-points it at
+// group g's manager on the worker's machine, if g spans it (see
+// Router.syncSwitch).
+func (b *writeBuf) follow(w *Worker, g *BroadcastRTS) {
+	b.sync(w)
+	if mg := g.mgr(w.Node()); mg != nil {
+		b.mgr = mg
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // newBatchedTB builds a broadcast-RTS cluster with the batching
 // pipeline enabled in both layers (group frame packing + RTS write
 // combining).
-func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *BroadcastRTS) {
+func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	nw := netsim.New(env, n, netsim.DefaultParams())
@@ -24,13 +24,10 @@ func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *
 	gcfg := group.DefaultConfig(members)
 	gcfg.Batch = bc
 	ms := make([]*amoeba.Machine, n)
-	gs := make([]*group.Member, n)
 	for i := 0; i < n; i++ {
 		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
-		gs[i] = group.Join(ms[i], gcfg)
 	}
-	r := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
-	r.EnableBatching(bc)
+	r := NewRouter(testRegistry(), DefaultCosts(), ms, RouterConfig{Groups: []group.Config{gcfg}})
 	return &tb{env: env, net: nw, ms: ms, sys: r}, r
 }
 
@@ -52,8 +49,8 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 				t.Errorf("buffered set returned %v, want nil", res)
 			}
 		}
-		if r.batchedOps < 3 {
-			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.batchedOps)
+		if r.groups[0].batchedOps < 3 {
+			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.groups[0].batchedOps)
 		}
 		// Unrelated read: served with the writes still buffered.
 		if got := r.Invoke(w, other, "get")[0].(int); got != 7 {
@@ -110,11 +107,11 @@ func TestBatchedPutsDeliverExactlyOnce(t *testing.T) {
 			t.Fatalf("item %d = %d, want %d (order or duplication broke)", i, v, i)
 		}
 	}
-	if r.batchedOps < int64(n) {
-		t.Errorf("batchedOps = %d, want >= %d", r.batchedOps, n)
+	if r.groups[0].batchedOps < int64(n) {
+		t.Errorf("batchedOps = %d, want >= %d", r.groups[0].batchedOps, n)
 	}
-	if r.batchFrames == 0 || r.batchFrames >= r.batchedOps {
-		t.Errorf("batchFrames = %d for %d ops: no amortization", r.batchFrames, r.batchedOps)
+	if r.groups[0].batchFrames == 0 || r.groups[0].batchFrames >= r.groups[0].batchedOps {
+		t.Errorf("batchFrames = %d for %d ops: no amortization", r.groups[0].batchFrames, r.groups[0].batchedOps)
 	}
 	b.done()
 }
@@ -200,8 +197,8 @@ func TestBatchedManyWriters(t *testing.T) {
 	if want != n*per {
 		t.Fatalf("replicas hold %d items, want %d", want, n*per)
 	}
-	if r.batchFrames*2 >= r.batchedOps {
-		t.Errorf("weak amortization: %d frames for %d ops", r.batchFrames, r.batchedOps)
+	if r.groups[0].batchFrames*2 >= r.groups[0].batchedOps {
+		t.Errorf("weak amortization: %d frames for %d ops", r.groups[0].batchFrames, r.groups[0].batchedOps)
 	}
 	b.done()
 }

@@ -14,7 +14,8 @@ import (
 // on the local replica, bypassing the object manager. Writes ship the
 // operation code and parameters through the group layer; every
 // machine's object manager applies incoming writes in strict sequence
-// order, which enforces sequential consistency.
+// order, which enforces sequential consistency. A Router hosts one
+// per sequencer group; "all machines" then means the group's span.
 //
 // Guarded writes whose guard is false at their position in the total
 // order are queued and deterministically retried after each subsequent
@@ -23,29 +24,25 @@ type BroadcastRTS struct {
 	reg   *Registry
 	costs Costs
 	mgrs  []*bcastManager
-	ids   *idAlloc
 
 	// span lists the global node ids hosting a manager (ascending), and
 	// mgrAt maps a global node id to its index in mgrs (-1 outside the
-	// span). A standalone runtime spans every machine and the mapping is
-	// the identity; under a ShardedRTS each sequencer group may span a
-	// subset (its replication domain), and machines outside it reach the
-	// shard through the forwarder RPC (see ShardedRTS).
+	// span). A group spanning every machine has the identity mapping;
+	// a group may also span a subset (its replication domain), and
+	// machines outside it reach its objects through the forwarder RPC
+	// (see Router.Invoke).
 	span  []int
 	mgrAt []int
 
 	// fwdPort is the RPC port serving forwarded operations — distinct
-	// per co-hosted shard, since Bind panics on a duplicate.
+	// per co-hosted group, since Bind panics on a duplicate.
 	fwdPort string
 
-	// fence, when set by a ShardedRTS, handles cross-shard fence
-	// messages appearing in this shard's delivery stream.
-	fence func(p *sim.Proc, mgr *bcastManager, d group.Delivery, f wireFence)
-
-	// migrate, when set by a MixedRTS hosting adaptive objects,
-	// handles sequenced migration records — the cut points of online
-	// placement changes (see adapt.go).
-	migrate func(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate)
+	// router is the Router hosting this group. Fence and migrate
+	// records in the delivery stream go to it: fences order writes
+	// across groups (fence.go), and migrate records are the cut points
+	// of online placement changes (adapt.go).
+	router *Router
 
 	// unbatched lists objects excluded from the write-combining
 	// pipeline. Adaptive objects live here: a combined write parked in
@@ -54,11 +51,14 @@ type BroadcastRTS struct {
 	unbatched map[ObjID]bool
 
 	// batch, when enabled, turns on the write-combining pipeline (see
-	// EnableBatching and batch.go).
+	// batch.go): unguarded no-result writes are submitted through
+	// per-worker combining buffers and leave as multi-op frames. It is
+	// the group members' own batch configuration, so the sequencer
+	// packs frames too.
 	batch group.BatchConfig
 
 	// placements maps partially replicated objects to their replica
-	// machines; absent means replicated everywhere (see CreateOn).
+	// machines; absent means replicated everywhere (see place).
 	placements map[ObjID][]int
 
 	// down marks machines the runtime was told have crashed (see
@@ -75,41 +75,6 @@ type BroadcastRTS struct {
 	batchedOps  int64
 	batchFrames int64
 }
-
-// System is the interface shared by the runtime systems; the Orca
-// layer programs against it.
-type System interface {
-	// Create instantiates a shared object of a registered type and
-	// returns its id. It blocks until the creating machine can use
-	// the object.
-	Create(w *Worker, typeName string, args ...any) ObjID
-	// Invoke performs an operation on a shared object with the
-	// sequential-consistency and indivisibility guarantees of the
-	// shared data-object model. It blocks for guards, locks, and
-	// write completion. A local read's result slice may alias a
-	// per-worker scratch buffer: it is valid until the worker's next
-	// operation, and callers that retain results must copy them.
-	Invoke(w *Worker, id ObjID, op string, args ...any) []any
-	// Nodes reports the machine count.
-	Nodes() int
-	// PeekState returns a machine's current replica state (nil if the
-	// machine holds no copy). It is an inspection hook for tests and
-	// experiment harnesses, not part of the programming model.
-	PeekState(node int, id ObjID) (State, bool)
-}
-
-var _ System = (*BroadcastRTS)(nil)
-
-// LocalReader is an optional System capability: a runtime that can
-// serve an unguarded read directly from a local replica exposes the
-// replica state (after charging exactly what the Invoke read path
-// would), letting typed callers bypass the []any wire encoding. The
-// state must be treated as read-only and not retained.
-type LocalReader interface {
-	LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool)
-}
-
-var _ LocalReader = (*BroadcastRTS)(nil)
 
 // Wire bodies for the group stream.
 type (
@@ -214,22 +179,12 @@ type opWaiter struct {
 	res  []any
 }
 
-// NewBroadcastRTS builds the runtime over one group member per
-// machine. machines[i] and members[i] must be node i.
-func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member) *BroadcastRTS {
-	span := make([]int, len(machines))
-	for i, m := range machines {
-		span[i] = m.ID()
-	}
-	return newBroadcastRTSAt(reg, costs, machines, members, span, fwdPort)
-}
-
-// newBroadcastRTSAt builds the runtime over a (possibly partial)
-// machine span, binding the forwarder service on the given port.
-// machines[i] and members[i] must be node span[i]; span must be
-// ascending. A ShardedRTS builds one per sequencer group.
-func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int, port string) *BroadcastRTS {
-	r := &BroadcastRTS{reg: reg, costs: costs, ids: &idAlloc{}, span: span, fwdPort: port}
+// newBroadcastRTS builds one sequencer group's runtime over a
+// (possibly partial) machine span, binding the forwarder service on
+// the given port. machines[i] and members[i] must be node span[i];
+// span must be ascending. A Router builds one per group.
+func newBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int, port string) *BroadcastRTS {
+	r := &BroadcastRTS{reg: reg, costs: costs, span: span, fwdPort: port}
 	total := 0
 	for _, m := range machines {
 		if n := m.Net().Nodes(); n > total {
@@ -274,22 +229,6 @@ func (r *BroadcastRTS) mgr(node int) *bcastManager {
 	return r.mgrs[i]
 }
 
-// Nodes reports the machine count (span size).
-func (r *BroadcastRTS) Nodes() int { return len(r.mgrs) }
-
-// Span reports the global node ids hosting this runtime's replicas.
-func (r *BroadcastRTS) Span() []int { return r.span }
-
-// EnableBatching turns on the write-combining pipeline: unguarded
-// no-result writes are submitted through per-worker combining buffers
-// and leave as multi-op frames (see batch.go). Call before the
-// simulation starts. The group members should run the same
-// configuration so the sequencer packs frames too.
-func (r *BroadcastRTS) EnableBatching(bc group.BatchConfig) { r.batch = bc }
-
-// BatchingEnabled reports whether the write-combining pipeline is on.
-func (r *BroadcastRTS) BatchingEnabled() bool { return r.batch.Enabled() }
-
 // noBatch excludes an object from the write-combining pipeline (see
 // the unbatched field).
 func (r *BroadcastRTS) noBatch(id ObjID) {
@@ -299,13 +238,7 @@ func (r *BroadcastRTS) noBatch(id ObjID) {
 	r.unbatched[id] = true
 }
 
-// Stats reports aggregate runtime counters: local reads served without
-// communication, broadcast writes, and guard suspensions.
-func (r *BroadcastRTS) Stats() (localReads, bcastWrites, guardWaits int64) {
-	return r.localReads, r.bcastWrites, r.guardWaits
-}
-
-// Counters implements StatsSource with the unified counter snapshot.
+// Counters returns the unified counter snapshot of this group.
 func (r *BroadcastRTS) Counters() RTSStats {
 	st := RTSStats{
 		LocalReads:  r.localReads,
@@ -337,7 +270,7 @@ func (r *BroadcastRTS) Counters() RTSStats {
 	return st
 }
 
-// NodeCrashed implements CrashAware. The replicated core needs no
+// NodeCrashed records a machine crash. The replicated core needs no
 // repair — the dead machine's replicas, guard waiters, and manager
 // thread died with it, and the group layer already routes around a
 // dead member (electing a new sequencer if necessary) — so the
@@ -354,33 +287,37 @@ func (r *BroadcastRTS) NodeCrashed(node int) {
 	r.crashes++
 }
 
-// Create broadcasts object creation so every machine instantiates a
-// replica, and waits until the local replica exists.
-func (r *BroadcastRTS) Create(w *Worker, typeName string, args ...any) ObjID {
-	t := r.reg.Lookup(typeName) // validate before broadcasting
-	id := r.ids.alloc()
+// create broadcasts the creation of object id so every replica holder
+// instantiates a replica, and waits until the local replica exists.
+// With nodes, the object is replicated only on those machines (partial
+// replication, see bcast_partial.go), which must include the creator.
+func (r *BroadcastRTS) create(w *Worker, id ObjID, typeName string, nodes []int, args []any) {
+	t := r.reg.Lookup(typeName)
+	if len(nodes) > 0 {
+		r.place(w.Node(), id, nodes)
+	}
 	mgr := r.mgr(w.Node())
 	if mgr == nil {
-		panic(fmt.Sprintf("rts: create from node %d outside the shard span %v", w.Node(), r.span))
+		panic(fmt.Sprintf("rts: create from node %d outside the group span %v", w.Node(), r.span))
 	}
 	mgr.syncBuf(w) // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Type: t.Name, Args: args}
 	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfArgs(args)+len(typeName)+16)
 	mgr.await(w.P, uid)
-	return id
 }
 
-// Invoke implements System.
+// Invoke performs an operation on a replicated object from a machine
+// in the group span.
 func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) []any {
 	mgr := r.mgr(w.Node())
 	if mgr == nil {
-		panic(fmt.Sprintf("rts: invoke from node %d outside the shard span %v (route via ShardedRTS)", w.Node(), r.span))
+		panic(fmt.Sprintf("rts: invoke from node %d outside the group span %v", w.Node(), r.span))
 	}
-	if pl := r.placement(id); pl != nil && !r.replicatedOn(w.Node(), id) {
+	if r.placement(id) != nil && !r.replicatedOn(w.Node(), id) {
 		// No local replica: forward the operation to a holder.
 		mgr.syncBuf(w)
-		return mgr.forward(w, id, pl, opName, args)
+		return r.forward(w, mgr.fwdClient, id, opName, args)
 	}
 	inst := mgr.instance(w.P, id)
 	op := inst.op(opName)
@@ -410,10 +347,10 @@ func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) [
 	return mgr.await(w.P, uid)
 }
 
-// LocalReadState implements LocalReader: it serves the bookkeeping of
-// an unguarded local read — statistics and CPU charge, identical to
-// the Invoke read path — and exposes the local replica state so a
-// typed caller can apply its operation directly, with no []any
+// LocalReadState serves the bookkeeping of an unguarded local read —
+// statistics and CPU charge, identical to the Invoke read path — and
+// exposes the local replica state so a typed caller can apply its
+// operation directly, with no []any
 // argument or result encoding. Guarded or forwarded reads are
 // declined; the caller falls back to Invoke.
 func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
@@ -439,7 +376,7 @@ func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bo
 	return inst.state, true
 }
 
-// PeekState implements System.
+// PeekState returns a machine's replica state (see Router.PeekState).
 func (r *BroadcastRTS) PeekState(node int, id ObjID) (State, bool) {
 	mgr := r.mgr(node)
 	if mgr == nil {
@@ -581,17 +518,6 @@ func (mgr *bcastManager) complete(p *sim.Proc, uid int64, src int, res []any) {
 	}
 }
 
-// SetExtraHandler installs a callback for group messages the runtime
-// does not recognize. The Orca layer uses it to order process creation
-// within the same total order as object writes, which is what makes a
-// freshly forked process observe all writes its parent issued before
-// the fork.
-func (r *BroadcastRTS) SetExtraHandler(h func(node int, body any)) {
-	for _, mgr := range r.mgrs {
-		mgr.extra = h
-	}
-}
-
 // run is the object-manager thread: it consumes the totally-ordered
 // delivery stream and applies creations and writes. Guard retries run
 // once per frame, not per op: a write only marks its replica touched,
@@ -616,15 +542,9 @@ func (mgr *bcastManager) run(p *sim.Proc) {
 			case wireOp:
 				mgr.applyWrite(p, d.UID, d.Src, body)
 			case wireFence:
-				if mgr.rts.fence == nil {
-					panic("rts: cross-shard fence delivered to a non-sharded runtime")
-				}
-				mgr.rts.fence(p, mgr, d, body)
+				mgr.rts.router.handleFence(p, mgr, d, body)
 			case wireMigrate:
-				if mgr.rts.migrate == nil {
-					panic("rts: migrate record delivered to a runtime without adaptive placement")
-				}
-				mgr.rts.migrate(p, mgr, d.UID, d.Src, body)
+				mgr.rts.router.handleMigrate(p, mgr, d.UID, d.Src, body)
 			default:
 				if mgr.extra == nil {
 					panic(fmt.Sprintf("rts: unexpected group message %T", d.Body))

@@ -13,7 +13,8 @@ import (
 // replicated on all machines that need it (an optimizing scheme using
 // partial replication is under development)").
 //
-// CreateOn places an object's replicas on a subset of the machines.
+// A partially replicated object keeps its replicas on a subset of its
+// group's machines (Router.CreateReplicated with nodes).
 // Machines inside the placement behave exactly as with full
 // replication: local reads, broadcast writes. Machines outside the
 // placement forward their operations over RPC to a replica holder,
@@ -23,8 +24,8 @@ import (
 // machine, trading everyone's update-application cost for the
 // forwarders' round trips.
 
-// fwdPort is the default RPC port serving forwarded operations; each
-// shard of a ShardedRTS binds its own (see BroadcastRTS.fwdPort).
+// fwdPort prefixes the RPC port serving forwarded operations; group k
+// binds fwdPort+k (see BroadcastRTS.fwdPort).
 const fwdPort = "objfwd"
 
 // fwdOp is the forwarded-operation request body.
@@ -57,40 +58,24 @@ func (r *BroadcastRTS) replicatedOn(node int, id ObjID) bool {
 	return false
 }
 
-// CreateOn creates a shared object replicated only on the given
-// machines (nil or empty means all machines, i.e. plain Create). The
-// creating machine must be in the placement so creation can complete
-// locally.
-func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ...any) ObjID {
-	if len(nodes) == 0 {
-		return r.Create(w, typeName, args...)
-	}
+// place records a partial placement for object id before its creation
+// broadcast. The creating machine must be in the placement so creation
+// can complete locally.
+func (r *BroadcastRTS) place(creator int, id ObjID, nodes []int) {
 	holder := false
 	for _, n := range nodes {
-		if n == w.Node() {
+		if n == creator {
 			holder = true
 			break
 		}
 	}
 	if !holder {
-		panic(fmt.Sprintf("rts: CreateOn from node %d outside placement %v", w.Node(), nodes))
+		panic(fmt.Sprintf("rts: create from node %d outside placement %v", creator, nodes))
 	}
-	t := r.reg.Lookup(typeName)
-	id := r.ids.alloc()
 	if r.placements == nil {
 		r.placements = make(map[ObjID][]int)
 	}
 	r.placements[id] = append([]int(nil), nodes...)
-	mgr := r.mgr(w.Node())
-	if mgr == nil {
-		panic(fmt.Sprintf("rts: CreateOn from node %d outside the shard span %v", w.Node(), r.span))
-	}
-	mgr.syncBuf(w) // creation is ordered after the worker's buffered writes
-	w.Flush()
-	body := wireCreate{Obj: id, Type: t.Name, Args: args}
-	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfArgs(args)+len(typeName)+16)
-	mgr.await(w.P, uid)
-	return id
 }
 
 // startForwarders binds the forwarded-operation service on every
@@ -121,26 +106,32 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 }
 
 // forward executes an operation at a replica holder on behalf of a
-// machine outside the placement. Dead holders are skipped, and a
-// holder that dies mid-operation fails the RPC with ErrCrashed; the
-// operation is then retried at the next surviving holder. A retried
-// write may therefore execute twice if the dead holder applied it
-// before crashing and the write had already been broadcast — the
-// at-least-once caveat every crash-recovery path of the runtime
-// shares (see DESIGN.md).
-func (mgr *bcastManager) forward(w *Worker, id ObjID, pl []int, opName string, args []any) []any {
+// machine that holds no replica — outside the object's placement, or
+// outside the group span altogether — over the RPC client cl. The
+// holders are the placement, or the whole span for a fully replicated
+// object. Dead holders are skipped, and a holder that dies
+// mid-operation fails the RPC with ErrCrashed; the operation is then
+// retried at the next surviving holder. A retried write may therefore
+// execute twice if the dead holder applied it before crashing and the
+// write had already been broadcast — the at-least-once caveat every
+// crash-recovery path of the runtime shares (see DESIGN.md).
+func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, opName string, args []any) []any {
 	w.Flush()
-	mgr.rts.forwarded++
+	r.forwarded++
+	holders := r.placement(id)
+	if holders == nil {
+		holders = r.span
+	}
 	first := true
-	for _, holder := range pl {
-		if mgr.rts.down[holder] || mgr.m.Net().Down(holder) {
+	for _, holder := range holders {
+		if r.down[holder] || w.M.Net().Down(holder) {
 			continue
 		}
 		if !first {
-			mgr.rts.opsRetried++
+			r.opsRetried++
 		}
 		first = false
-		rep, err := mgr.fwdClient.Trans(w.P, holder, mgr.rts.fwdPort, opName,
+		rep, err := cl.Trans(w.P, holder, r.fwdPort, opName,
 			fwdOp{Obj: id, Op: opName, Args: args}, SizeOfArgs(args)+len(opName)+16)
 		if err == nil {
 			if rep == nil {
@@ -152,12 +143,8 @@ func (mgr *bcastManager) forward(w *Worker, id ObjID, pl []int, opName string, a
 			panic(fmt.Sprintf("rts: forwarded op %s on object %d failed: %v", opName, id, err))
 		}
 	}
-	panic(fmt.Sprintf("rts: no live replica holder for object %d (placement %v)", id, pl))
+	panic(fmt.Sprintf("rts: no live replica holder for object %d (holders %v)", id, holders))
 }
-
-// Forwarded reports how many operations were forwarded to replica
-// holders (partial replication statistics).
-func (r *BroadcastRTS) Forwarded() int64 { return r.forwarded }
 
 // directWrite applies a write to a single-copy object at its only
 // holder, bypassing the broadcast entirely: with exactly one replica

@@ -10,7 +10,7 @@ func TestPartialReplicationPlacement(t *testing.T) {
 	b, r := newBcastTB(t, 21, 4, nil)
 	var id ObjID
 	b.spawn(0, "main", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", []int{0, 1}, 7)
+		id = r.CreateReplicated(w, "intcell", -1, []int{0, 1}, 7)
 	})
 	b.run(5 * sim.Second)
 	defer b.done()
@@ -28,7 +28,7 @@ func TestPartialReplicationForwardedOps(t *testing.T) {
 	var got int
 	var id ObjID
 	b.spawn(0, "main", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", []int{0, 1})
+		id = r.CreateReplicated(w, "intcell", -1, []int{0, 1})
 		b.spawn(3, "outsider", func(w *Worker) {
 			// Node 3 holds no replica: both operations are forwarded.
 			r.Invoke(w, id, "set", 42)
@@ -40,8 +40,8 @@ func TestPartialReplicationForwardedOps(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("forwarded read = %d, want 42", got)
 	}
-	if r.Forwarded() != 2 {
-		t.Fatalf("forwarded ops = %d, want 2", r.Forwarded())
+	if r.Counters().Forwarded != 2 {
+		t.Fatalf("forwarded ops = %d, want 2", r.Counters().Forwarded)
 	}
 	// The write must have reached both replica holders.
 	for node := 0; node <= 1; node++ {
@@ -55,7 +55,7 @@ func TestPartialReplicationForwardedOps(t *testing.T) {
 func TestPartialReplicationLocalReadsStayLocal(t *testing.T) {
 	b, r := newBcastTB(t, 23, 4, nil)
 	b.spawn(0, "main", func(w *Worker) {
-		id := r.CreateOn(w, "intcell", []int{0, 1}, 5)
+		id := r.CreateReplicated(w, "intcell", -1, []int{0, 1}, 5)
 		b.spawn(1, "holder", func(w *Worker) {
 			w.P.Sleep(100 * sim.Millisecond)
 			before := b.net.Stats().Messages
@@ -74,7 +74,7 @@ func TestPartialReplicationLocalReadsStayLocal(t *testing.T) {
 func TestPartialReplicationSavesMemory(t *testing.T) {
 	b, r := newBcastTB(t, 24, 4, nil)
 	b.spawn(0, "main", func(w *Worker) {
-		r.CreateOn(w, "queue", []int{0})
+		r.CreateReplicated(w, "queue", -1, []int{0})
 	})
 	b.run(2 * sim.Second)
 	defer b.done()
@@ -95,7 +95,7 @@ func TestPartialReplicationGuardedQueue(t *testing.T) {
 	b, r := newBcastTB(t, 25, 3, nil)
 	var got []int
 	b.spawn(0, "main", func(w *Worker) {
-		q := r.CreateOn(w, "queue", []int{0})
+		q := r.CreateReplicated(w, "queue", -1, []int{0})
 		b.spawn(1, "consumer", func(w *Worker) {
 			for i := 0; i < 3; i++ {
 				got = append(got, r.Invoke(w, q, "get")[0].(int))
@@ -128,7 +128,7 @@ func TestCreateOnOutsidePlacementPanics(t *testing.T) {
 				t.Error("expected panic creating outside placement")
 			}
 		}()
-		r.CreateOn(w, "intcell", []int{1, 2})
+		r.CreateReplicated(w, "intcell", -1, []int{1, 2})
 	})
 	b.run(2 * sim.Second)
 	b.done()
@@ -138,7 +138,7 @@ func TestCreateOnEmptyPlacementIsFullReplication(t *testing.T) {
 	b, r := newBcastTB(t, 27, 3, nil)
 	var id ObjID
 	b.spawn(0, "main", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", nil, 9)
+		id = r.CreateReplicated(w, "intcell", -1, nil, 9)
 	})
 	b.run(2 * sim.Second)
 	defer b.done()

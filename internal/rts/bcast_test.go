@@ -318,7 +318,7 @@ func TestBcastPendingGuardDrainOrder(t *testing.T) {
 		t.Fatalf("both gets returned %d", got[0])
 	}
 	for node := 0; node < 3; node++ {
-		if n := r.PendingWrites(node, 1); n != 0 {
+		if n := r.groups[0].PendingWrites(node, 1); n != 0 {
 			t.Fatalf("node %d still has %d pending writes", node, n)
 		}
 	}
@@ -339,7 +339,8 @@ func TestBcastStatsCount(t *testing.T) {
 	})
 	b.run(10 * sim.Second)
 	defer b.done()
-	reads, writes, _ := r.Stats()
+	c := r.Counters()
+	reads, writes := c.LocalReads, c.BcastWrites
 	if reads != 10 {
 		t.Fatalf("localReads = %d, want 10", reads)
 	}

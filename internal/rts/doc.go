@@ -3,8 +3,10 @@
 // writes propagated by totally-ordered broadcast), the point-to-point
 // RTS (§3.2.2: primary copy plus secondaries kept consistent by an
 // invalidation or two-phase update protocol, with dynamic replication
-// decided from read/write statistics), and a mixed composite hosting
-// both so placement is a per-object decision.
+// decided from read/write statistics), and the Router every program
+// talks to: N ≥ 0 broadcast sequencer groups plus an optional
+// point-to-point runtime on the same machines, routing each object to
+// its home, so placement and sequencing are per-object decisions.
 //
 // An object is an instance of an ObjectType: encapsulated state plus
 // a set of operations, each classified as a read (no state change) or

@@ -13,9 +13,9 @@ import (
 
 // crash kills a machine and notifies the runtime, as the orca crash
 // cascade would.
-func (b *tb) crash(node int, ca CrashAware) {
+func (b *tb) crash(node int) {
 	b.ms[node].Crash()
-	ca.NodeCrashed(node)
+	b.sys.NodeCrashed(node)
 }
 
 // blockedApp filters Blocked() down to interesting parked threads:
@@ -66,7 +66,7 @@ func TestBcastGuardWaiterOnDeadNodeReaped(t *testing.T) {
 		}
 		gotOne = true
 	})
-	b.env.At(200*sim.Millisecond, func() { b.crash(2, r) })
+	b.env.At(200*sim.Millisecond, func() { b.crash(2) })
 	b.run(30 * sim.Second)
 	if !gotOne {
 		t.Fatal("survivor never completed its dequeue")
@@ -87,7 +87,7 @@ func TestBcastForwardReroutesAroundDeadHolder(t *testing.T) {
 	b, r := newBcastTB(t, 13, 3, nil)
 	var id ObjID
 	b.spawn(1, "creator", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", []int{1, 2}, 7)
+		id = r.CreateReplicated(w, "intcell", -1, []int{1, 2}, 7)
 	})
 	var before, after int
 	b.spawn(0, "outsider", func(w *Worker) {
@@ -97,7 +97,7 @@ func TestBcastForwardReroutesAroundDeadHolder(t *testing.T) {
 		r.Invoke(w, id, "set", 99)
 		after = r.Invoke(w, id, "get")[0].(int)
 	})
-	b.env.At(300*sim.Millisecond, func() { b.crash(1, r) })
+	b.env.At(300*sim.Millisecond, func() { b.crash(1) })
 	b.run(60 * sim.Second)
 	if before != 7 {
 		t.Fatalf("pre-crash forwarded read = %d, want 7", before)
@@ -138,19 +138,19 @@ func TestP2PRehomePreservesSurvivingCopy(t *testing.T) {
 		}
 		final = r.Invoke(w, id, "get")[0].(int)
 	})
-	b.env.At(400*sim.Millisecond, func() { b.crash(0, r) })
+	b.env.At(400*sim.Millisecond, func() { b.crash(0) })
 	b.run(120 * sim.Second)
 	if final != 10 {
 		t.Fatalf("counter = %d after re-home, want 10 (state must survive)", final)
 	}
-	st := r.Stats()
+	st := r.P2P().Stats()
 	if st.Rehomed != 1 {
 		t.Fatalf("Rehomed = %d, want 1", st.Rehomed)
 	}
 	if st.OpsRetried == 0 {
 		t.Fatalf("OpsRetried = 0, want > 0 (the first post-crash write must have failed over)")
 	}
-	if p := r.Primary(id); p == 0 || r.nodes[p].m.Crashed() {
+	if p := r.P2P().Primary(id); p == 0 || r.P2P().nodes[p].m.Crashed() {
 		t.Fatalf("primary = %d, want a live survivor", p)
 	}
 	b.done()
@@ -176,7 +176,7 @@ func TestP2PRestartWhenOnlyCopyDies(t *testing.T) {
 		w.P.Sleep(500 * sim.Millisecond) // primary crashes at 400ms
 		postCrash = r.Invoke(w, id, "get")[0].(int)
 	})
-	b.env.At(400*sim.Millisecond, func() { b.crash(0, r) })
+	b.env.At(400*sim.Millisecond, func() { b.crash(0) })
 	b.run(120 * sim.Second)
 	if preCrash != 43 {
 		t.Fatalf("pre-crash value = %d, want 43", preCrash)
@@ -184,7 +184,7 @@ func TestP2PRestartWhenOnlyCopyDies(t *testing.T) {
 	if postCrash != 42 {
 		t.Fatalf("post-crash value = %d, want 42 (restarted from creation args)", postCrash)
 	}
-	if st := r.Stats(); st.Rehomed != 1 {
+	if st := r.P2P().Stats(); st.Rehomed != 1 {
 		t.Fatalf("Rehomed = %d, want 1", st.Rehomed)
 	}
 	b.done()
@@ -207,12 +207,12 @@ func TestP2PSecondaryCrashPrunedFromCopyset(t *testing.T) {
 		}
 		final = r.Invoke(w, id, "get")[0].(int)
 	})
-	b.env.At(300*sim.Millisecond, func() { b.crash(2, r) })
+	b.env.At(300*sim.Millisecond, func() { b.crash(2) })
 	b.run(60 * sim.Second)
 	if final != 3 {
 		t.Fatalf("counter = %d, want 3 (writes must commit against survivors)", final)
 	}
-	if r.HasCopy(2, id) {
+	if r.P2P().HasCopy(2, id) {
 		t.Fatal("dead machine still counted as a copy holder")
 	}
 	if got := b.blockedApp("2", "creator"); len(got) != 0 {

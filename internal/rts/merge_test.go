@@ -3,10 +3,11 @@ package rts
 import "testing"
 
 // TestMergeSumsWorkMaxesObservations: Merge adds the per-subsystem work
-// counters but takes the max of whole-machine observations (crashes,
-// elections, takeovers, recovery outage) — every subsystem on the same
-// machines witnesses the same crash and the same logical recovery, so a
-// sum would double-count them.
+// counters — elections and takeovers included, since each sequencer
+// group recovers its own sequencer — but takes the max of
+// whole-machine observations (crashes, recovery outage): every
+// subsystem on the same machines witnesses the same crash, so a sum
+// would double-count it, and the outage is the worst one anywhere.
 func TestMergeSumsWorkMaxesObservations(t *testing.T) {
 	a := RTSStats{
 		LocalReads: 10, BcastWrites: 5, GuardWaits: 1, Forwarded: 2,
@@ -28,7 +29,7 @@ func TestMergeSumsWorkMaxesObservations(t *testing.T) {
 		BatchedOps: 13, Frames: 9, RemoteReads: 11, P2PWrites: 14,
 		Fetches: 10, Discards: 11, Invalidations: 13, Updates: 15,
 		FencedOps: 17, Crashes: 2, OpsRetried: 15, Rehomed: 16,
-		Elections: 3, Takeovers: 2, Reproposals: 21, RecoveryVirtualUS: 100,
+		Elections: 4, Takeovers: 3, Reproposals: 21, RecoveryVirtualUS: 100,
 	}
 	if got != want {
 		t.Fatalf("Merge mismatch:\n got %+v\nwant %+v", got, want)

@@ -9,10 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// newMixedTB builds a composite cluster: broadcast and point-to-point
-// managers over the same machines and group members, fused into a
-// MixedRTS with a broadcast default.
-func newMixedTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *MixedRTS) {
+// newMixedTB builds a mixed cluster: one group spanning every machine
+// plus the point-to-point runtime on the same machines, with a
+// broadcast default.
+func newMixedTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	nw := netsim.New(env, n, netsim.DefaultParams())
@@ -20,16 +20,14 @@ func newMixedTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *MixedRTS)
 	for i := range members {
 		members[i] = i
 	}
-	gcfg := group.DefaultConfig(members)
 	ms := make([]*amoeba.Machine, n)
-	gs := make([]*group.Member, n)
 	for i := 0; i < n; i++ {
 		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
-		gs[i] = group.Join(ms[i], gcfg)
 	}
-	br := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
-	p2p := NewP2PRTS(testRegistry(), DefaultCosts(), cfg, ms)
-	m := NewMixedRTS(br, p2p, true)
+	m := NewRouter(testRegistry(), DefaultCosts(), ms, RouterConfig{
+		Groups: []group.Config{group.DefaultConfig(members)},
+		P2P:    &cfg,
+	})
 	return &tb{env: env, net: nw, ms: ms, sys: m}, m
 }
 
@@ -42,7 +40,7 @@ func TestMixedRoutesPerObject(t *testing.T) {
 	b.spawn(0, "driver", func(w *Worker) {
 		rep := m.Create(w, "intcell", 10) // broadcast (default)
 		prim := m.CreatePrimaryCopy(w, "intcell", Update, SingleCopy, 20)
-		part := m.CreateReplicated(w, "intcell", []int{0, 1}, 30)
+		part := m.CreateReplicated(w, "intcell", -1, []int{0, 1}, 30)
 		if rep == prim || prim == part || rep == part {
 			t.Errorf("object ids collide: %d %d %d", rep, prim, part)
 		}
@@ -134,8 +132,8 @@ func TestPerObjectProtocol(t *testing.T) {
 	var inval, upd ObjID
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
-		inval = r.CreateWith(w, "intcell", Invalidation, FullReplication)
-		upd = r.CreateWith(w, "intcell", Update, FullReplication)
+		inval = r.CreatePrimaryCopy(w, "intcell", Invalidation, FullReplication)
+		upd = r.CreatePrimaryCopy(w, "intcell", Update, FullReplication)
 		w.Flush()
 		ready.Broadcast()
 	})
@@ -143,10 +141,10 @@ func TestPerObjectProtocol(t *testing.T) {
 		for upd == 0 {
 			ready.Wait(w.P)
 		}
-		base := r.Stats()
+		base := r.P2P().Stats()
 		r.Invoke(w, inval, "inc")
 		w.Flush()
-		after := r.Stats()
+		after := r.P2P().Stats()
 		if got := after.Invalidations - base.Invalidations; got != 2 {
 			t.Errorf("invalidation-object write sent %d invalidations, want 2", got)
 		}
@@ -156,7 +154,7 @@ func TestPerObjectProtocol(t *testing.T) {
 		base = after
 		r.Invoke(w, upd, "inc")
 		w.Flush()
-		after = r.Stats()
+		after = r.P2P().Stats()
 		if got := after.Updates - base.Updates; got != 2 {
 			t.Errorf("update-object write sent %d updates, want 2", got)
 		}

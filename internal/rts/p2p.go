@@ -33,29 +33,15 @@ type P2PRTS struct {
 	cfg   P2PConfig
 	nodes []*p2pNode
 	objs  map[ObjID]*p2pMeta
-	ids   *idAlloc
 
-	// mover and moveSnap, set by a MixedRTS hosting adaptive objects,
-	// connect a moveout to the broadcast total order (see adapt.go):
-	// moveSnap publishes the state snapshot before the cut (so a crash
-	// mid-moveout can be rescued), and mover broadcasts the sequenced
-	// migrate record from the given machine and waits for the local
-	// delivery.
-	mover    func(p *sim.Proc, node int, id ObjID, state State)
-	moveSnap func(node int, id ObjID, state State)
-
-	// recoverState, also set by a MixedRTS, gives crash recovery a
-	// better restart point than the creation arguments: an adaptive
-	// object that migrated in from the broadcast runtime left a frozen
-	// replica of its cut-point state on every machine, and restarting
-	// from that snapshot loses only the writes acknowledged by the
-	// dead primary after the cut. Returns nil when no snapshot exists.
-	recoverState func(meta *p2pMeta) State
+	// router is the Router hosting this runtime. Adaptive objects
+	// reach through it to their sequencer group: a moveout publishes
+	// its snapshot and sequences its cut there, and crash recovery may
+	// restart from the group's frozen cut-point replica (see adapt.go).
+	router *Router
 
 	stats P2PStats
 }
-
-var _ System = (*P2PRTS)(nil)
 
 // P2PProtocol selects how the primary keeps secondaries consistent.
 type P2PProtocol int
@@ -146,10 +132,10 @@ type P2PStats struct {
 
 // p2pMeta is the global registry entry for an object: its type, the
 // (static) primary machine, and the consistency protocol and placement
-// policy governing it. Protocol and placement are per object — plain
-// Create copies them from the runtime's configuration, CreateWith
-// overrides them — so one runtime can host objects under different
-// policies side by side.
+// policy governing it. Protocol and placement are per object —
+// Router.Create passes the runtime's configured ones,
+// Router.CreatePrimaryCopy any others — so one runtime can host
+// objects under different policies side by side.
 type p2pMeta struct {
 	id        ObjID
 	typ       *ObjectType
@@ -262,12 +248,12 @@ const (
 	p2pCtlPort = "objctl" // one-way: unlock, drop, install
 )
 
-// NewP2PRTS builds the point-to-point runtime over the machines.
-func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Machine) *P2PRTS {
+// newP2PRTS builds the point-to-point runtime over the machines.
+func newP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Machine) *P2PRTS {
 	if cfg.RPCPolicy.Timeout == 0 {
 		cfg.RPCPolicy = DefaultP2PConfig().RPCPolicy
 	}
-	r := &P2PRTS{reg: reg, costs: costs, cfg: cfg, objs: make(map[ObjID]*p2pMeta), ids: &idAlloc{}}
+	r := &P2PRTS{reg: reg, costs: costs, cfg: cfg, objs: make(map[ObjID]*p2pMeta)}
 	for _, m := range machines {
 		n := &p2pNode{
 			rts:    r,
@@ -285,13 +271,10 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 	return r
 }
 
-// Nodes implements System.
-func (r *P2PRTS) Nodes() int { return len(r.nodes) }
-
 // Stats returns a snapshot of runtime counters.
 func (r *P2PRTS) Stats() P2PStats { return r.stats }
 
-// Counters implements StatsSource with the unified counter snapshot.
+// Counters returns the unified counter snapshot of this runtime.
 func (r *P2PRTS) Counters() RTSStats {
 	return RTSStats{
 		LocalReads:    r.stats.LocalReads,
@@ -335,7 +318,7 @@ func (r *P2PRTS) HasCopy(node int, id ObjID) bool {
 	return ok && inst.valid
 }
 
-// PeekState implements System.
+// PeekState returns a machine's copy state (see Router.PeekState).
 func (r *P2PRTS) PeekState(node int, id ObjID) (State, bool) {
 	inst, ok := r.nodes[node].insts[id]
 	if !ok || !inst.valid {
@@ -352,22 +335,14 @@ func (r *P2PRTS) meta(id ObjID) *p2pMeta {
 	return m
 }
 
-// Create instantiates the object with its single primary copy on the
+// create instantiates object id with its single primary copy on the
 // creating machine (the paper: "Initially, only one copy of each
-// object is maintained"). Under FullReplication, copies are pushed to
-// every machine over the wire. The object is governed by the runtime's
-// configured protocol and placement.
-func (r *P2PRTS) Create(w *Worker, typeName string, args ...any) ObjID {
-	return r.CreateWith(w, typeName, r.cfg.Protocol, r.cfg.Placement, args...)
-}
-
-// CreateWith is Create with a per-object protocol and placement
-// override — the runtime keeps this object's secondaries consistent
-// with the given protocol and applies the given placement policy,
-// independent of what the rest of the objects use.
-func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, placement Placement, args ...any) ObjID {
+// object is maintained"), kept consistent under the given protocol and
+// placement policy, independent of what the rest of the objects use.
+// Under FullReplication, copies are pushed to every machine over the
+// wire.
+func (r *P2PRTS) create(w *Worker, id ObjID, typeName string, protocol P2PProtocol, placement Placement, args []any) {
 	t := r.reg.Lookup(typeName)
-	id := r.ids.alloc()
 	node := r.nodes[w.Node()]
 	w.Flush()
 	w.M.Compute(w.P, r.costs.Create)
@@ -397,10 +372,9 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 			})
 		}
 	}
-	return id
 }
 
-// Invoke implements System.
+// Invoke performs an operation on a primary-copy object.
 func (r *P2PRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) []any {
 	meta := r.meta(id)
 	op := meta.op(opName)

@@ -32,7 +32,7 @@ import (
 // nodeDown reports whether a machine has crashed.
 func (r *P2PRTS) nodeDown(node int) bool { return r.nodes[node].m.Crashed() }
 
-// NodeCrashed implements CrashAware: it counts the crash and releases
+// NodeCrashed counts the crash and releases
 // copies the dead primary left locked mid-update, so local readers
 // suspended on a locked copy re-check instead of sleeping forever.
 // Object re-homing itself happens lazily, when the next operation
@@ -110,11 +110,11 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 	inst, ok := nn.insts[meta.id]
 	if !ok || !inst.valid {
 		var st State
-		if restart && r.recoverState != nil {
-			// A mixed runtime may hold a frozen migration snapshot that
-			// beats restarting from the creation arguments (see the
-			// recoverState field).
-			if st = r.recoverState(meta); st != nil {
+		if restart {
+			// An adaptive object may have left a frozen migration
+			// snapshot that beats restarting from the creation
+			// arguments (see Router.recoverState).
+			if st = r.router.recoverState(meta); st != nil {
 				recovered = true
 			}
 		}

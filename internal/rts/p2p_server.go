@@ -182,23 +182,19 @@ func (n *p2pNode) execTask(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTas
 	}
 }
 
-// migrateOut hands the object to the broadcast runtime (see
-// adapt.go). It runs on the primary's object thread, so every task
+// migrateOut hands the object to its sequencer group (see adapt.go). It runs on the primary's object thread, so every task
 // enqueued before it has completed — the queue position is the
 // point-to-point side of the cut; the sequenced migrate record it
-// emits is the broadcast side. The snapshot is published through
-// moveSnap before the cut, with no blocking point in between, so a
+// emits is the broadcast side. The snapshot is published to the
+// router before the cut, with no blocking point in between, so a
 // machine crash can never strand the object without a recoverable
 // snapshot.
 func (n *p2pNode) migrateOut(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTask) {
 	r := n.rts
-	if r.mover == nil || r.moveSnap == nil {
-		panic("rts: moveout without a broadcast runtime attached")
-	}
 	meta := r.meta(id)
 	inst := n.insts[id]
 	clone := meta.typ.Clone(inst.state)
-	r.moveSnap(n.m.ID(), id, clone)
+	r.router.snapMoveout(n.m.ID(), id, clone)
 	meta.moved = true
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
 	for _, pt := range *pending {
@@ -213,8 +209,8 @@ func (n *p2pNode) migrateOut(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pT
 		node.dropLocal(id)
 	}
 	// Sequence the migrate record; its globally-first delivery flips
-	// ownership to the broadcast runtime.
-	r.mover(p, n.m.ID(), id, clone)
+	// the home to the object's group.
+	r.router.sequenceMoveout(p, n.m.ID(), id, clone)
 	n.finishTask(p, t, nil)
 }
 

@@ -22,10 +22,10 @@ func TestP2PCreateSingleCopy(t *testing.T) {
 	})
 	b.run(sim.Second)
 	defer b.done()
-	if r.Primary(id) != 2 {
-		t.Fatalf("primary = %d, want 2", r.Primary(id))
+	if r.P2P().Primary(id) != 2 {
+		t.Fatalf("primary = %d, want 2", r.P2P().Primary(id))
 	}
-	if n := r.CopyCount(id); n != 1 {
+	if n := r.P2P().CopyCount(id); n != 1 {
 		t.Fatalf("copies = %d, want 1 (paper: one copy initially)", n)
 	}
 }
@@ -45,7 +45,7 @@ func TestP2PRemoteReadAndWrite(t *testing.T) {
 	if got != 13 {
 		t.Fatalf("remote read = %d, want 13", got)
 	}
-	st := r.Stats()
+	st := r.P2P().Stats()
 	if st.RemoteReads == 0 {
 		t.Fatal("expected remote reads")
 	}
@@ -64,14 +64,14 @@ func TestP2PDynamicFetchOnReadHeavyUse(t *testing.T) {
 	})
 	b.run(30 * sim.Second)
 	defer b.done()
-	if !r.HasCopy(1, id) {
+	if !r.P2P().HasCopy(1, id) {
 		t.Fatal("read-heavy node did not fetch a copy")
 	}
-	if r.Stats().Fetches == 0 {
+	if r.P2P().Stats().Fetches == 0 {
 		t.Fatal("no fetch recorded")
 	}
 	// Once the copy exists, reads must be local.
-	if r.Stats().LocalReads == 0 {
+	if r.P2P().Stats().LocalReads == 0 {
 		t.Fatal("no local reads after fetch")
 	}
 }
@@ -116,13 +116,13 @@ func TestP2PInvalidationDropsCopies(t *testing.T) {
 	})
 	b.run(30 * sim.Second)
 	defer b.done()
-	if r.HasCopy(1, id) {
+	if r.P2P().HasCopy(1, id) {
 		t.Fatal("secondary survived an invalidation write")
 	}
-	if n := r.CopyCount(id); n != 1 {
+	if n := r.P2P().CopyCount(id); n != 1 {
 		t.Fatalf("copies after write = %d, want 1", n)
 	}
-	if r.Stats().Invalidations == 0 {
+	if r.P2P().Stats().Invalidations == 0 {
 		t.Fatal("no invalidations recorded")
 	}
 	s, _ := r.PeekState(0, id)
@@ -149,7 +149,7 @@ func TestP2PUpdateKeepsCopiesConsistent(t *testing.T) {
 	})
 	b.run(60 * sim.Second)
 	defer b.done()
-	if !r.HasCopy(1, id) {
+	if !r.P2P().HasCopy(1, id) {
 		t.Fatal("update protocol discarded the secondary")
 	}
 	s0, _ := r.PeekState(0, id)
@@ -158,7 +158,7 @@ func TestP2PUpdateKeepsCopiesConsistent(t *testing.T) {
 		t.Fatalf("states diverged: primary=%d secondary=%d, want 5",
 			s0.(*intCellState).v, s1.(*intCellState).v)
 	}
-	if r.Stats().Updates == 0 {
+	if r.P2P().Stats().Updates == 0 {
 		t.Fatal("no update messages recorded")
 	}
 }
@@ -174,7 +174,7 @@ func TestP2PDiscardOnWriteHeavyUse(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				r.Invoke(w, id, "get")
 			}
-			if !r.HasCopy(1, id) {
+			if !r.P2P().HasCopy(1, id) {
 				t.Error("no copy after read-heavy phase")
 			}
 			// Phase 2: write-heavy, should discard.
@@ -185,10 +185,10 @@ func TestP2PDiscardOnWriteHeavyUse(t *testing.T) {
 	})
 	b.run(60 * sim.Second)
 	defer b.done()
-	if r.HasCopy(1, id) {
+	if r.P2P().HasCopy(1, id) {
 		t.Fatal("write-heavy node kept its copy")
 	}
-	if r.Stats().Discards == 0 {
+	if r.P2P().Stats().Discards == 0 {
 		t.Fatal("no discard recorded")
 	}
 }
@@ -203,7 +203,7 @@ func TestP2PFullReplicationPlacement(t *testing.T) {
 	})
 	b.run(5 * sim.Second)
 	defer b.done()
-	if n := r.CopyCount(id); n != 4 {
+	if n := r.P2P().CopyCount(id); n != 4 {
 		t.Fatalf("copies = %d, want 4 under full replication", n)
 	}
 }
@@ -311,7 +311,7 @@ func TestP2PConvergenceProperty(t *testing.T) {
 		})
 		b.run(120 * sim.Second)
 		defer b.done()
-		prim, ok := r.PeekState(r.Primary(id), id)
+		prim, ok := r.PeekState(r.P2P().Primary(id), id)
 		if !ok {
 			return false
 		}
@@ -374,8 +374,8 @@ func TestP2PManyObjectsIndependentPrimaries(t *testing.T) {
 	})
 	b.run(5 * sim.Second)
 	for n := 0; n < 4; n++ {
-		if r.Primary(ids[n]) != n {
-			t.Fatalf("object %d primary = %d, want %d", n, r.Primary(ids[n]), n)
+		if r.P2P().Primary(ids[n]) != n {
+			t.Fatalf("object %d primary = %d, want %d", n, r.P2P().Primary(ids[n]), n)
 		}
 	}
 	b.done()

@@ -112,12 +112,12 @@ func testRegistry() *Registry {
 	return reg
 }
 
-// tb is a test cluster running one of the runtime systems.
+// tb is a test cluster running one router shape.
 type tb struct {
 	env *sim.Env
 	net *netsim.Network
 	ms  []*amoeba.Machine
-	sys System
+	sys *Router
 }
 
 // spawn runs fn as an application thread on the given node.
@@ -136,8 +136,9 @@ func (b *tb) run(horizon sim.Time) {
 
 func (b *tb) done() { b.env.Shutdown() }
 
-// newBcastTB builds a broadcast-RTS cluster.
-func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*tb, *BroadcastRTS) {
+// newBcastTB builds a broadcast-RTS cluster: one group spanning every
+// machine.
+func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	np := netsim.DefaultParams()
@@ -149,19 +150,17 @@ func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*
 	for i := range members {
 		members[i] = i
 	}
-	gcfg := group.DefaultConfig(members)
 	ms := make([]*amoeba.Machine, n)
-	gs := make([]*group.Member, n)
 	for i := 0; i < n; i++ {
 		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
-		gs[i] = group.Join(ms[i], gcfg)
 	}
-	r := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
+	r := NewRouter(testRegistry(), DefaultCosts(), ms, RouterConfig{Groups: []group.Config{group.DefaultConfig(members)}})
 	return &tb{env: env, net: nw, ms: ms, sys: r}, r
 }
 
-// newP2PTB builds a point-to-point-RTS cluster.
-func newP2PTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *P2PRTS) {
+// newP2PTB builds a point-to-point-RTS cluster: no group, the
+// point-to-point runtime alone.
+func newP2PTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	np := netsim.DefaultParams()
@@ -171,6 +170,6 @@ func newP2PTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *P2PRTS) {
 	for i := 0; i < n; i++ {
 		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
 	}
-	r := NewP2PRTS(testRegistry(), DefaultCosts(), cfg, ms)
+	r := NewRouter(testRegistry(), DefaultCosts(), ms, RouterConfig{P2P: &cfg})
 	return &tb{env: env, net: nw, ms: ms, sys: r}, r
 }
