@@ -197,9 +197,9 @@ func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int
 	wait := &rpcWait{cond: sim.NewCond(c.m.Env())}
 	c.waits[txid] = wait
 	// The calling thread can be killed mid-transaction (its machine
-	// crashed while it was parked here); the unwinding goroutine runs
-	// concurrently with other reaped threads of this machine and must
-	// not touch the shared waits map.
+	// crashed while it was parked here). It then unwinds only when
+	// Shutdown reaps it, after the run, and must not touch the shared
+	// waits map: the machine's state belongs to the crash, not to it.
 	defer func() {
 		if !p.Killed() {
 			delete(c.waits, txid)

@@ -54,13 +54,12 @@ type (
 		Items []batchItem
 		Size  int
 	}
-	// dataBatchMsg is the sequencer's packed sequenced frame: item i
-	// carries sequence number Seq+i.
+	// dataBatchMsg is the sequencer's packed sequenced frame: the
+	// records sequenceBatch built, consecutive in sequence order.
+	// Every receiver shares them, as with a lone *dataMsg.
 	dataBatchMsg struct {
-		Seq   int64
-		Items []batchItem
+		Items []*dataMsg
 		Size  int
-		Epoch int
 	}
 	// bbBatchMsg is BB sender-side packing: unsequenced multi-op
 	// data, broadcast by the sender.
@@ -208,7 +207,7 @@ func (g *Member) flushPack(p *sim.Proc) {
 		g.stats.Batches++
 		g.stats.BatchedOps += int64(len(items))
 		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bdata",
-			Body: &dataBatchMsg{Seq: ds[0].Seq, Items: items, Size: size, Epoch: g.epoch}, Size: size + hdrData})
+			Body: &dataBatchMsg{Items: ds, Size: size}, Size: size + hdrData})
 	}
 	for _, d := range ds {
 		g.processData(p, d)
@@ -219,10 +218,8 @@ func (g *Member) flushPack(p *sim.Proc) {
 // runs through the ordinary ordered-delivery core under its own
 // sequence number.
 func (g *Member) onDataBatch(p *sim.Proc, b *dataBatchMsg) {
-	for i := range b.Items {
-		it := &b.Items[i]
-		g.processData(p, &dataMsg{Seq: b.Seq + int64(i), UID: it.UID, Src: it.Src, SrcSeq: it.SrcSeq,
-			Kind: it.Kind, Body: it.Body, Size: it.Size, Epoch: b.Epoch, More: i < len(b.Items)-1})
+	for _, d := range b.Items {
+		g.processData(p, d)
 	}
 }
 

@@ -55,6 +55,36 @@ func TestBatchFlushMaxOps(t *testing.T) {
 	h.env.Shutdown()
 }
 
+// TestBatchSharesSequencedRecords: a packed data frame carries the
+// sequencer's own records, so every member's delivered cache holds the
+// same pointer for a sequence number instead of a per-member copy.
+func TestBatchSharesSequencedRecords(t *testing.T) {
+	h := newHarness(7, 3, nil, batchCfg(4, 1<<20, sim.Millisecond))
+	burst(h, 1, 8, 100)
+	h.env.RunUntil(2 * sim.Second)
+	h.checkAgreement(t, 8, nil)
+	if got := h.net.Stats().CountsByKind["grp-bdata"]; got != 2 {
+		t.Fatalf("packed data frames = %d, want 2", got)
+	}
+	shared := 0
+	for slot, d := range h.gs[0].cache {
+		if d == nil {
+			continue
+		}
+		for i, g := range h.gs[1:] {
+			if g.cache[slot] != d {
+				t.Fatalf("seq %d: member %d caches %p, member 0 caches %p", d.Seq, i+1, g.cache[slot], d)
+			}
+		}
+		shared++
+	}
+	if shared != 8 {
+		t.Fatalf("cached records = %d, want 8", shared)
+	}
+	h.env.Stop()
+	h.env.Shutdown()
+}
+
 // TestBatchFlushMaxBytes: the byte cap flushes before the op cap.
 func TestBatchFlushMaxBytes(t *testing.T) {
 	h := newHarness(7, 3, nil, batchCfg(64, 300, sim.Millisecond))

@@ -32,8 +32,9 @@ type CrashRecord struct {
 }
 
 // procRec tracks one Orca process for crash accounting: when its
-// machine crashes the runtime settles the process's liveness here and
-// the goroutine's own exit path (which never runs again) is skipped.
+// machine crashes the runtime settles the process's liveness here. The
+// process is never resumed again; Shutdown unwinds it after the run,
+// and its exit path, seeing Killed(), skips the accounting.
 type procRec struct {
 	node int
 	done bool

@@ -4,10 +4,13 @@
 //
 // Exactly one simulated process (or event handler) executes at any
 // instant, so simulations are fully deterministic and race-free by
-// construction: the entire run is a single logical thread of control
-// that hops between goroutines via channel handshakes. Because time
-// is virtual, a 16-processor run is exact and repeatable on a
-// single-core host, and injected faults (Env.Kill; see
+// construction: the entire run is a single logical thread of control.
+// Each process is an iter.Pull coroutine, and one dispatch loop on the
+// caller of Run resumes them in (time, seq) order; a process switch
+// is a coroutine switch, never a trip through the Go scheduler.
+// A panic in a process, or a t.FailNow, surfaces on Run's caller.
+// Because time is virtual, a 16-processor run is exact and repeatable
+// on a single-core host, and injected faults (Env.Kill; see
 // netsim.FaultPlan) replay exactly like any other event.
 //
 // This is the bottom of the stack. Upward: package netsim models the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Event is a scheduled occurrence in virtual time. It is returned by
@@ -88,10 +87,10 @@ type Env struct {
 	ready     []*Event   // same-instant events in seq (FIFO) order
 	readyHead int        // index of the next ready event
 	seqGen    int64
-	free      *Event        // free list of recycled internal events
-	done      chan struct{} // chain -> Run/RunUntil completion handoff
+	free      *Event // free list of recycled internal events
+	handoff   *Proc  // the process the dispatcher resumes next
 	live      map[*Proc]struct{}
-	wg        sync.WaitGroup
+	spawned   int64 // spawn counter: Proc.id, the order Shutdown reaps in
 	rng       *rand.Rand
 	stopped   bool
 	bounded   bool // RunUntil in progress
@@ -110,7 +109,6 @@ type Env struct {
 // The same seed always yields the same simulation.
 func New(seed int64) *Env {
 	return &Env{
-		done: make(chan struct{}),
 		live: make(map[*Proc]struct{}),
 		rng:  rand.New(rand.NewSource(seed)),
 	}
@@ -224,25 +222,13 @@ func (e *Env) next() *Event {
 	return rv
 }
 
-// advance dispatches events on the calling goroutine until control
-// moves elsewhere: the scheduler is not a goroutine of its own but a
-// baton passed between simulated processes. A parking (or dying)
-// process dispatches onward itself — callback events run inline, and
-// a process-resume event is a single direct channel handoff to the
-// target's goroutine, half the context switches of a central
-// scheduler loop.
-//
-// For a process caller (self != nil), a true result means the
-// process's own resume event came up: it simply keeps running. A
-// false result means control went elsewhere — the caller must block
-// on its resume channel (or, if dying, exit). When the chain ends
-// (drained, stopped, or past the RunUntil bound), the process that
-// discovers it signals done to hand control back to Run's caller.
-//
-// For the run caller (self == nil), a true result means control was
-// handed to a process and the caller must wait for done; false means
-// the run drained inline without any process becoming runnable.
-func (e *Env) advance(self *Proc) bool {
+// advance dispatches events until a process is due to resume and
+// returns it, or returns nil when the run is over (drained, stopped,
+// or past the RunUntil bound). Callback events run inline on the
+// caller, which is either the dispatcher (Env.dispatch) or a parking
+// or terminating process: a process dispatches onward itself and only
+// involves the dispatcher when control must move to another process.
+func (e *Env) advance() *Proc {
 	for !e.stopped {
 		if e.bounded {
 			if head := e.peekTime(); head == nil || head.t > e.limit {
@@ -270,21 +256,22 @@ func (e *Env) advance(self *Proc) bool {
 		}
 		p := ev.proc
 		e.recycle(ev)
-		if p == self && !p.terminated && !p.killed {
-			return true // our own resume: just keep running
+		if !p.terminated && !p.killed {
+			return p
 		}
-		if p.terminated || p.killed {
-			continue
-		}
-		p.resume <- struct{}{} // direct handoff
-		return self == nil
 	}
-	// The chain ends here. A process goroutine hands control back to
-	// the Run caller; the Run caller just returns.
-	if self != nil {
-		e.done <- struct{}{}
+	return nil
+}
+
+// dispatch is the one loop that resumes processes, run on the caller
+// of Run or RunUntil. Each resumed process runs until it hands control
+// on: it parks or terminates, leaving in e.handoff the process advance
+// chose next (nil when the run is over). A panic in a process, or a
+// t.FailNow, surfaces here, on the caller of Run.
+func (e *Env) dispatch() {
+	for p := e.advance(); p != nil; p = e.handoff {
+		p.next()
 	}
-	return false
 }
 
 // peekTime reports the earliest pending event without popping.
@@ -307,9 +294,7 @@ func (e *Env) peekTime() *Event {
 // when the queue drains are left parked; call Shutdown to reap them
 // (Blocked lists them for deadlock diagnosis).
 func (e *Env) Run() Time {
-	if e.advance(nil) {
-		<-e.done
-	}
+	e.dispatch()
 	return e.now
 }
 
@@ -317,9 +302,7 @@ func (e *Env) Run() Time {
 // empties, or Stop is called.
 func (e *Env) RunUntil(t Time) Time {
 	e.bounded, e.limit = true, t
-	if e.advance(nil) {
-		<-e.done
-	}
+	e.dispatch()
 	e.bounded = false
 	return e.now
 }
@@ -347,9 +330,9 @@ func (e *Env) Blocked() []string {
 // discarded when it fires. It models a thread dying with its crashed
 // machine, so — unlike a cooperative exit — the process's current
 // state (held resources, queued wait entries) is simply abandoned.
-// The goroutine itself is reclaimed by Shutdown. Killing the process
-// that is currently executing is allowed: it finishes its current
-// non-blocking step and is unwound at its next park.
+// Its stack is unwound by Shutdown. Killing the process that is
+// currently executing is allowed: it finishes its current non-blocking
+// step and stays suspended from its next park until Shutdown.
 func (e *Env) Kill(p *Proc) {
 	if p.terminated || p.killed {
 		return
@@ -361,16 +344,21 @@ func (e *Env) Kill(p *Proc) {
 // have not yet terminated.
 func (e *Env) LiveProcs() int { return len(e.live) }
 
-// Shutdown force-kills all parked processes and waits for their
-// goroutines to exit. It must be called only after Run has returned.
+// Shutdown reaps every process that has not terminated, one at a time
+// in spawn order. A parked process unwinds its stack, running its
+// deferred handlers; they see Killed() and must neither block nor
+// touch shared state. A process that never started is discarded
+// without running. Shutdown must be called only after Run has returned.
 func (e *Env) Shutdown() {
+	procs := make([]*Proc, 0, len(e.live))
 	for p := range e.live {
-		if !p.terminated {
-			p.killed = true
-			close(p.resume)
-		}
+		procs = append(procs, p)
 	}
-	e.wg.Wait()
+	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
+	for _, p := range procs {
+		p.killed = true
+		p.stop()
+	}
 	e.live = make(map[*Proc]struct{})
 }
 

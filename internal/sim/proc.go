@@ -1,21 +1,29 @@
 package sim
 
-import "runtime"
+import "iter"
 
-// Proc is a cooperatively scheduled simulated process. A Proc runs on
-// its own goroutine, but the scheduler guarantees that at most one Proc
-// (or event handler) executes at a time, handing control back and forth
-// through channel handshakes. Blocking primitives (Sleep, Cond.Wait,
-// Resource.Acquire, ...) park the process and return control to the
-// scheduler.
+// Proc is a cooperatively scheduled simulated process. It runs as a
+// coroutine (iter.Pull) that the dispatcher on Run's caller resumes,
+// so at most one Proc (or event handler) executes at a time and a
+// switch between processes never goes through the Go scheduler.
+// Blocking primitives (Sleep, Cond.Wait, Resource.Acquire, ...) park
+// the process and return control to the scheduler.
 type Proc struct {
 	env        *Env
 	name       string
-	resume     chan struct{}
+	id         int64                   // spawn order
+	next       func() (struct{}, bool) // resume the coroutine
+	stop       func()                  // reap it (Shutdown)
+	yield      func(struct{}) bool     // suspend it; false when reaped
 	terminated bool
 	killed     bool
-	reaped     bool // unwound via Goexit; must not touch scheduler state
 }
+
+// reaped is the panic value that unwinds a process Shutdown reaps.
+// iter.Pull would re-raise a goroutine exit on Shutdown's own
+// goroutine, so the unwinding is a panic the coroutine's top frame
+// recovers.
+type reaped struct{}
 
 // Spawn creates a process named name running fn and schedules it to
 // start at the current virtual time. It may be called before Run (to
@@ -26,36 +34,23 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is Spawn with an explicit start time.
 func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	e.live[p] = struct{}{}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		<-p.resume // wait for the start event
-		if p.killed {
-			return
-		}
+	e.spawned++
+	p := &Proc{env: e, name: name, id: e.spawned}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if p.reaped {
-				// This goroutine is being reaped via Goexit (Shutdown,
-				// or a mid-run Kill caught at a park); the reaper owns
-				// the scheduler state, and several reaped goroutines
-				// run concurrently, so no shared state may be touched
-				// here.
-				return
+			if r := recover(); r != nil && r != (reaped{}) {
+				panic(r) // surfaces on the caller of Run
 			}
-			// A process that was killed while executing but ran to
-			// completion still holds the scheduling baton and must
-			// pass it on like a normal termination.
-			p.terminated = true
-			delete(e.live, p)
-			// Pass the scheduling baton onward one last time: the
-			// dying goroutine dispatches until control lands on
-			// another process (or the run's caller) and then exits.
-			e.advance(p)
 		}()
 		fn(p)
-	}()
+		// A process killed while executing that ran to completion
+		// still holds control and passes it on like any other.
+		p.terminated = true
+		delete(e.live, p)
+		e.handoff = e.advance()
+	})
+	e.live[p] = struct{}{}
 	e.wakeAt(t, p)
 	return p
 }
@@ -69,22 +64,20 @@ func (p *Proc) Env() *Env { return p.env }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// park suspends the process until another chain of control resumes
-// it. All blocking primitives funnel through here. The parking
-// goroutine first advances the dispatch loop itself (see Env.advance);
-// if its own resume event comes up it returns without ever blocking,
-// otherwise control was handed off and it waits on its resume channel.
+// park suspends the process until the scheduler resumes it. All
+// blocking primitives funnel through here. The process first advances
+// the dispatch loop itself (see Env.advance): if its own resume event
+// comes up next it keeps running with no switch at all. Otherwise it
+// leaves the chosen process to the dispatcher and suspends.
 func (p *Proc) park() {
-	if !p.env.advance(p) {
-		<-p.resume
+	e := p.env
+	q := e.advance()
+	if q == p {
+		return
 	}
-	if p.killed {
-		// Killed (machine crash mid-run, or Shutdown reaping): unwind
-		// this goroutine. Deferred handlers must not touch the
-		// scheduler on this path — the baton was already handed off
-		// before the park blocked.
-		p.reaped = true
-		runtime.Goexit()
+	e.handoff = q
+	if !p.yield(struct{}{}) {
+		panic(reaped{}) // Shutdown: unwind to the coroutine's top frame
 	}
 }
 

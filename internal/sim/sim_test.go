@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -450,4 +452,189 @@ func TestResourceBusyTimeWithHolder(t *testing.T) {
 		r.Release(p)
 	})
 	e.Run()
+}
+
+// runRecover runs e and returns what a panic out of Run carried.
+func runRecover(e *Env) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// A panic inside a process reaches the caller of Run with its value.
+func TestProcPanicReachesRun(t *testing.T) {
+	e := New(1)
+	e.Spawn("other", func(p *Proc) { p.Sleep(100) })
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	if r := runRecover(e); r != "boom" {
+		t.Fatalf("recovered %v, want boom", r)
+	}
+	if e.Now() != 5 {
+		t.Fatalf("Now = %v, want 5", e.Now())
+	}
+	e.Shutdown()
+}
+
+// runtime.Goexit inside a process (t.FailNow, for one) unwinds the
+// caller of Run: Run neither returns nor panics.
+func TestProcGoexitUnwindsRun(t *testing.T) {
+	e := New(1)
+	deferred := false
+	e.Spawn("quitter", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Yield()
+		runtime.Goexit()
+	})
+	returned, panicked := false, false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() != nil }()
+		e.Run()
+		returned = true
+	}()
+	<-done
+	if returned || panicked || !deferred {
+		t.Fatalf("returned=%v panicked=%v deferred=%v, want false false true", returned, panicked, deferred)
+	}
+	e.Shutdown()
+}
+
+// A process that kills itself stays suspended at its next park; its
+// deferred handlers run once, at Shutdown.
+func TestKillRunningProcThenShutdown(t *testing.T) {
+	e := New(1)
+	defers := 0
+	e.Spawn("doomed", func(p *Proc) {
+		defer func() {
+			if !p.Killed() {
+				t.Error("deferred handler ran without Killed()")
+			}
+			defers++
+		}()
+		e.Kill(p)
+		p.Sleep(10)
+		t.Error("killed process resumed")
+	})
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(20) })
+	e.Run()
+	if defers != 0 {
+		t.Fatalf("defers ran %d times before Shutdown, want 0", defers)
+	}
+	if e.Now() != 20 {
+		t.Fatalf("Now = %v, want 20", e.Now())
+	}
+	e.Shutdown()
+	e.Shutdown()
+	if defers != 1 {
+		t.Fatalf("defers ran %d times, want 1", defers)
+	}
+}
+
+// Shutdown discards a process that never started without running it.
+func TestShutdownSkipsUnstartedProc(t *testing.T) {
+	e := New(1)
+	ran := false
+	e.SpawnAt(100, "late", func(p *Proc) { ran = true })
+	e.Spawn("never", func(p *Proc) { ran = true })
+	e.Kill(e.Spawn("killed", func(p *Proc) { ran = true }))
+	e.Shutdown()
+	if ran {
+		t.Fatal("Shutdown ran a process that never started")
+	}
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after Shutdown, want 0", n)
+	}
+}
+
+// Shutdown reaps killed and parked processes one at a time in spawn
+// order, and the same program reaps in the same order every run.
+func TestShutdownReapsInSpawnOrder(t *testing.T) {
+	run := func() []string {
+		e := New(1)
+		c := NewCond(e)
+		var order []string
+		var victims []*Proc
+		for i := 0; i < 24; i++ {
+			name := fmt.Sprintf("p%02d", 23-i)
+			p := e.Spawn(name, func(p *Proc) {
+				defer func() { order = append(order, name) }()
+				if i%3 == 0 {
+					p.Sleep(Time(100 - i))
+				}
+				c.Wait(p)
+			})
+			if i%2 == 0 {
+				victims = append(victims, p)
+			}
+		}
+		e.At(50, func() {
+			for _, p := range victims {
+				e.Kill(p)
+			}
+		})
+		e.Run()
+		e.Shutdown()
+		return order
+	}
+	first := run()
+	if len(first) != 24 {
+		t.Fatalf("reaped %d processes, want 24", len(first))
+	}
+	for i, name := range first {
+		if want := fmt.Sprintf("p%02d", 23-i); name != want {
+			t.Fatalf("reap %d = %s, want %s (spawn order)", i, name, want)
+		}
+	}
+	if again := run(); !reflect.DeepEqual(first, again) {
+		t.Fatalf("second run reaped in order %v, first %v", again, first)
+	}
+}
+
+// RunUntil can stop the run while a process is parked; Run resumes it
+// mid-park.
+func TestRunUntilThenRunResumesMidPark(t *testing.T) {
+	e := New(1)
+	c := NewCond(e)
+	var wokeAt Time
+	e.Spawn("waiter", func(p *Proc) {
+		c.Wait(p)
+		wokeAt = p.Now()
+		p.Sleep(5)
+	})
+	e.At(100, c.Signal)
+	e.RunUntil(40)
+	if got := e.Blocked(); len(got) != 1 || got[0] != "waiter" {
+		t.Fatalf("Blocked = %v after RunUntil, want [waiter]", got)
+	}
+	if end := e.Run(); end != 105 || wokeAt != 100 {
+		t.Fatalf("Run ended at %v with wake at %v, want 105 and 100", end, wokeAt)
+	}
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", n)
+	}
+}
+
+// A steady ping-pong between two processes allocates nothing: every
+// switch reuses pooled events and the coroutines' own stacks.
+func TestYieldPingPongAllocs(t *testing.T) {
+	e := New(1)
+	for i := 0; i < 2; i++ {
+		e.Spawn("ponger", func(p *Proc) {
+			for {
+				for k := 0; k < 64; k++ {
+					p.Yield()
+				}
+				p.Sleep(1)
+			}
+		})
+	}
+	e.RunUntil(10) // warm the event pool and the queues
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Fatalf("allocs per ping-pong round = %v, want 0", n)
+	}
+	e.Shutdown()
 }
