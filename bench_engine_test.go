@@ -151,17 +151,23 @@ func BenchmarkEngineResource(b *testing.B) {
 	e.Shutdown()
 }
 
-// BenchmarkEngineTimerCancel measures the cancellation path: arming
-// and cancelling retransmission-style timers that never fire.
+// BenchmarkEngineTimerCancel measures timer cancellation with many
+// timers outstanding: 64 processes each arm a 10 ms timeout, sleep a
+// random 1-200 µs, and cancel the timer, as amoeba's Client.Trans does
+// when the reply beats the timeout. One op is one arm-sleep-cancel
+// round.
 func BenchmarkEngineTimerCancel(b *testing.B) {
 	e := sim.New(1)
-	e.Spawn("armer", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			ev := p.Env().After(sim.Second, func() {})
-			ev.Cancel()
-			p.Yield()
-		}
-	})
+	const procs = 64
+	for i := 0; i < procs; i++ {
+		e.Spawn("caller", func(p *sim.Proc) {
+			for i := 0; i < b.N/procs; i++ {
+				timer := p.Env().After(10*sim.Millisecond, func() {})
+				p.Sleep(sim.Time(1+p.Env().Rand().Intn(200)) * sim.Microsecond)
+				timer.Cancel()
+			}
+		})
+	}
 	b.ResetTimer()
 	e.Run()
 	reportEvents(b, e)

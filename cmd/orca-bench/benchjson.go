@@ -170,6 +170,22 @@ func runBenchJSON(path string, quick bool) error {
 		e.Shutdown()
 		return e
 	}))
+	results = append(results, measure("engine/timer-cancel", 500_000/scale, func(n int64) *sim.Env {
+		e := sim.New(1)
+		const procs = 64
+		for i := 0; i < procs; i++ {
+			e.Spawn("caller", func(p *sim.Proc) {
+				for i := int64(0); i < n/procs; i++ {
+					timer := p.Env().After(10*sim.Millisecond, func() {})
+					p.Sleep(sim.Time(1+p.Env().Rand().Intn(200)) * sim.Microsecond)
+					timer.Cancel()
+				}
+			})
+		}
+		e.Run()
+		e.Shutdown()
+		return e
+	}))
 
 	// Object-runtime primitives over the broadcast RTS (4 processors),
 	// the workloads of BenchmarkOrcaOps. Their virtual-µs/op must not

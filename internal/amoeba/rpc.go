@@ -150,7 +150,7 @@ type Client struct {
 }
 
 type rpcWait struct {
-	cond  *sim.Cond
+	cond  sim.Cond
 	reply *rpcWire
 	size  int
 }
@@ -194,7 +194,7 @@ func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int
 		return nil, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, port, op, dst)
 	}
 	txid := c.m.ServiceID()
-	wait := &rpcWait{cond: sim.NewCond(c.m.Env())}
+	wait := &rpcWait{}
 	c.waits[txid] = wait
 	// The calling thread can be killed mid-transaction (its machine
 	// crashed while it was parked here). It then unwinds only when

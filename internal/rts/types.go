@@ -207,6 +207,14 @@ func SizeOfValue(v any) int {
 		}
 		return n
 	}
+	return gobSize(v)
+}
+
+// gobSize is SizeOfValue's gob fallback. It is a function of its own
+// because encoding takes the address of its argument, which moves the
+// argument to the heap: inside SizeOfValue that would allocate on
+// every call, not only on the rare fallback path.
+func gobSize(v any) int {
 	gobSizings.Add(1)
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)

@@ -56,6 +56,20 @@ func TestSizeOfValueGobFallback(t *testing.T) {
 	}
 }
 
+// Sizing an argument that is already an interface value allocates
+// nothing: only the gob fallback may.
+func TestSizeOfValueAllocs(t *testing.T) {
+	var boxed any = int64(7)
+	var args any = []any{int64(1), "ab", true, 2.5, []int{1, 2}}
+	var n int
+	if a := testing.AllocsPerRun(100, func() { n = SizeOfValue(boxed) }); a != 0 || n != 8 {
+		t.Fatalf("SizeOfValue(int64) = %d with %v allocs, want 8 with 0", n, a)
+	}
+	if a := testing.AllocsPerRun(100, func() { n = SizeOfValue(args) }); a != 0 || n != 47 {
+		t.Fatalf("SizeOfValue([]any) = %d with %v allocs, want 47 with 0", n, a)
+	}
+}
+
 func TestSizeOfArgsSums(t *testing.T) {
 	got := SizeOfArgs([]any{1, "ab"})
 	want := 4 + 8 + 6

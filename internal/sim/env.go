@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -20,15 +19,27 @@ type Event struct {
 	seq       int64
 	fn        func()
 	proc      *Proc // resume this process instead of calling fn
+	env       *Env  // the environment that scheduled it (Cancel)
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
-	index     int    // heap index; -1 while on the ready queue or popped
+	index     int    // heap slot; -1 off the heap (ready, fired, removed)
 	next      *Event // free-list link while recycled
 }
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired (or was already cancelled) is a no-op.
-func (ev *Event) Cancel() { ev.cancelled = true }
+// Cancel prevents the event from firing and drops its callback. A
+// pending future event leaves the event heap at once, in O(log n), so
+// a timer that is armed and then cancelled, the common fate of RPC and
+// retransmission timeouts, costs later dispatches nothing. Cancelling
+// an event that is due at the current instant only marks it; the
+// dispatcher skips it. Cancelling an event that has already fired, or
+// was already cancelled, is a no-op.
+func (ev *Event) Cancel() {
+	ev.cancelled = true
+	ev.fn = nil
+	if ev.index >= 0 {
+		ev.env.unschedule(ev)
+	}
+}
 
 // Time reports the virtual time at which the event fires.
 func (ev *Event) Time() Time { return ev.t }
@@ -36,36 +47,83 @@ func (ev *Event) Time() Time { return ev.t }
 // before reports whether ev fires before other in the (time, seq)
 // total order.
 func (ev *Event) before(other *Event) bool {
-	if ev.t != other.t {
-		return ev.t < other.t
-	}
-	return ev.seq < other.seq
+	return ev.t < other.t || ev.t == other.t && ev.seq < other.seq
 }
 
-// eventQueue is a min-heap ordered by (time, sequence). The sequence
-// number breaks ties deterministically in scheduling order.
+// eventQueue is a binary min-heap ordered by (time, sequence). The
+// sequence number breaks ties deterministically in scheduling order.
+// Each event keeps its slot in index, so any event can be removed in
+// O(log n). Both sifts move a hole instead of swapping, writing each
+// displaced event once.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int           { return len(q) }
-func (q eventQueue) Less(i, j int) bool { return q[i].before(q[j]) }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// push inserts ev.
+func (q *eventQueue) push(ev *Event) {
+	*q = append(*q, nil)
+	q.up(len(*q)-1, ev)
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at slot i out of the heap and returns it.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	ev := h[i]
 	ev.index = -1
-	*q = old[:n-1]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		// Refill the hole with the last event, which moves toward the
+		// root if it precedes the hole's parent and toward the leaves
+		// otherwise.
+		if i > 0 && last.before(h[(i-1)/2]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
 	return ev
+}
+
+// up places ev at the hole i, moving the hole toward the root while ev
+// precedes its parent.
+func (q eventQueue) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !ev.before(parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down places ev at the hole i, moving the hole toward the leaves
+// while a child precedes ev.
+func (q eventQueue) down(i int, ev *Event) {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !child.before(ev) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 // Env is a discrete-event simulation environment: a virtual clock, an
@@ -79,7 +137,8 @@ func (q *eventQueue) Pop() any {
 // are necessarily larger than everything already consumed and appended
 // in seq order, so a plain append preserves the total order while
 // costing O(1) instead of O(log n). Only future events pay for the
-// heap. The dispatch loop merges the two sources by (time, seq), which
+// heap, and only while live: Cancel takes a timer out at once. The
+// dispatch loop merges the two sources by (time, seq), which
 // keeps the schedule bit-identical to a single-heap implementation.
 type Env struct {
 	now       Time
@@ -95,6 +154,10 @@ type Env struct {
 	stopped   bool
 	bounded   bool // RunUntil in progress
 	limit     Time // RunUntil bound
+	// lastDead is the latest time of a timer Cancel took out of the
+	// heap that the run has not yet passed (0: none). RunUntil treats
+	// it as a pending event when it sets the final clock (see advance).
+	lastDead Time
 
 	// Trace, when non-nil, receives a line per traced occurrence.
 	// It exists for debugging protocol implementations and is nil in
@@ -135,7 +198,7 @@ func (e *Env) Tracef(format string, args ...any) {
 func (e *Env) getEvent() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{pooled: true, index: -1}
+		return &Event{env: e, pooled: true, index: -1}
 	}
 	e.free = ev.next
 	ev.next = nil
@@ -168,13 +231,19 @@ func (e *Env) schedule(ev *Event, t Time) {
 		e.ready = append(e.ready, ev)
 		return
 	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
+}
+
+// unschedule takes a cancelled event out of the heap.
+func (e *Env) unschedule(ev *Event) {
+	e.queue.remove(ev.index)
+	e.lastDead = max(e.lastDead, ev.t)
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past
 // panics: it would violate causality.
 func (e *Env) At(t Time, fn func()) *Event {
-	ev := &Event{fn: fn}
+	ev := &Event{fn: fn, env: e, index: -1}
 	e.schedule(ev, t)
 	return ev
 }
@@ -200,18 +269,12 @@ func (e *Env) Schedule(t Time, fn func()) {
 // next pops the earliest pending event in (time, seq) order, merging
 // the ready queue and the heap. It returns nil when both are empty.
 func (e *Env) next() *Event {
-	var rv *Event
-	if e.readyHead < len(e.ready) {
-		rv = e.ready[e.readyHead]
-	}
-	if len(e.queue) > 0 {
-		hv := e.queue[0]
-		if rv == nil || hv.before(rv) {
-			return heap.Pop(&e.queue).(*Event)
-		}
-	}
-	if rv == nil {
+	ev := e.peek()
+	if ev == nil {
 		return nil
+	}
+	if ev.index == 0 {
+		return e.queue.remove(0)
 	}
 	e.ready[e.readyHead] = nil
 	e.readyHead++
@@ -219,7 +282,7 @@ func (e *Env) next() *Event {
 		e.ready = e.ready[:0]
 		e.readyHead = 0
 	}
-	return rv
+	return ev
 }
 
 // advance dispatches events until a process is due to resume and
@@ -228,18 +291,28 @@ func (e *Env) next() *Event {
 // caller, which is either the dispatcher (Env.dispatch) or a parking
 // or terminating process: a process dispatches onward itself and only
 // involves the dispatcher when control must move to another process.
+//
+// A bounded run that stops short of a pending event ends with the
+// clock at the bound. A timer cancelled beyond the bound counts as
+// pending here: it left the heap early, but the clock rule is the one
+// of a queue that keeps cancelled events until their time comes.
 func (e *Env) advance() *Proc {
 	for !e.stopped {
 		if e.bounded {
-			if head := e.peekTime(); head == nil || head.t > e.limit {
-				if head != nil {
+			if head := e.peek(); head == nil || head.t > e.limit {
+				if head != nil || e.lastDead > e.limit {
 					e.now = e.limit
+				}
+				if e.lastDead <= e.limit {
+					e.lastDead = 0 // behind the bound: no longer pending
 				}
 				break
 			}
 		}
 		ev := e.next()
 		if ev == nil {
+			// Drained: every cancelled timer is behind the run.
+			e.lastDead = 0
 			break
 		}
 		if ev.cancelled {
@@ -274,15 +347,14 @@ func (e *Env) dispatch() {
 	}
 }
 
-// peekTime reports the earliest pending event without popping.
-func (e *Env) peekTime() *Event {
+// peek reports the earliest pending event without popping it.
+func (e *Env) peek() *Event {
 	var rv *Event
 	if e.readyHead < len(e.ready) {
 		rv = e.ready[e.readyHead]
 	}
 	if len(e.queue) > 0 {
-		hv := e.queue[0]
-		if rv == nil || hv.before(rv) {
+		if hv := e.queue[0]; rv == nil || hv.before(rv) {
 			return hv
 		}
 	}
@@ -299,7 +371,10 @@ func (e *Env) Run() Time {
 }
 
 // RunUntil processes events until virtual time t is reached, the queue
-// empties, or Stop is called.
+// empties, or Stop is called. The bound must not precede Now. The
+// clock ends at t when an event is still pending beyond t, counting a
+// timer cancelled beyond t as pending, and otherwise at the last
+// dispatched event.
 func (e *Env) RunUntil(t Time) Time {
 	e.bounded, e.limit = true, t
 	e.dispatch()

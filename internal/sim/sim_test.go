@@ -2,11 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+const maxTime = Time(math.MaxInt64)
 
 func TestEventOrdering(t *testing.T) {
 	e := New(1)
@@ -637,4 +642,379 @@ func TestYieldPingPongAllocs(t *testing.T) {
 		t.Fatalf("allocs per ping-pong round = %v, want 0", n)
 	}
 	e.Shutdown()
+}
+
+// checkHeap fails the test unless e.queue is a valid (time, seq)
+// min-heap whose events know their own slots.
+func checkHeap(t *testing.T, e *Env) {
+	t.Helper()
+	for i, ev := range e.queue {
+		if ev.index != i {
+			t.Fatalf("heap slot %d holds an event with index %d", i, ev.index)
+		}
+		if ev.cancelled {
+			t.Fatalf("heap slot %d holds a cancelled event", i)
+		}
+		if i > 0 && ev.before(e.queue[(i-1)/2]) {
+			t.Fatalf("heap slot %d precedes its parent", i)
+		}
+	}
+}
+
+// Cancel takes a pending timer out of the heap at once instead of
+// leaving it to be skipped when its time comes.
+func TestCancelRemovesTimerFromHeap(t *testing.T) {
+	e := New(1)
+	keep := e.At(20, func() {})
+	ev := e.At(10, func() { t.Error("cancelled timer fired") })
+	if len(e.queue) != 2 {
+		t.Fatalf("heap holds %d events, want 2", len(e.queue))
+	}
+	ev.Cancel()
+	if len(e.queue) != 1 || e.queue[0] != keep {
+		t.Fatalf("heap after Cancel = %v, want only the kept timer", e.queue)
+	}
+	keep.Cancel()
+
+	// Many armed-then-cancelled timers, cancelled in random order.
+	rng := rand.New(rand.NewSource(1))
+	timers := make([]*Event, 10000)
+	for i := range timers {
+		timers[i] = e.After(Time(1+rng.Intn(5000)), func() { t.Error("cancelled timer fired") })
+	}
+	checkHeap(t, e)
+	for n, i := range rng.Perm(len(timers)) {
+		timers[i].Cancel()
+		if n%997 == 0 {
+			checkHeap(t, e)
+		}
+	}
+	if len(e.queue) != 0 {
+		t.Fatalf("heap holds %d events after cancelling every timer, want 0", len(e.queue))
+	}
+	if end := e.Run(); end != 0 || e.Events() != 0 {
+		t.Fatalf("Run ended at %v after %d events, want 0 and 0", end, e.Events())
+	}
+}
+
+// Cancel only marks an event it cannot take out of the heap: one that
+// fired, one already cancelled, one cancelled by its own callback, and
+// one due at the current instant.
+func TestCancelNoOps(t *testing.T) {
+	e := New(1)
+	fired := 0
+	count := func() { fired++ }
+
+	done := e.At(5, count)
+	twice := e.At(30, func() { t.Error("cancelled timer fired") })
+	var self *Event
+	self = e.At(10, func() {
+		fired++
+		self.Cancel() // already popped: flag only
+		checkHeap(t, e)
+	})
+	e.At(20, func() {
+		fired++
+		done.Cancel() // fired at 5
+		now := e.At(e.Now(), func() { t.Error("cancelled same-instant event fired") })
+		if now.index != -1 {
+			t.Errorf("same-instant event has heap index %d, want -1", now.index)
+		}
+		heapLen := len(e.queue)
+		now.Cancel()
+		if len(e.queue) != heapLen {
+			t.Errorf("cancelling a same-instant event changed the heap: %d -> %d", heapLen, len(e.queue))
+		}
+	})
+	e.At(40, count)
+	twice.Cancel()
+	n := len(e.queue)
+	twice.Cancel()
+	if len(e.queue) != n {
+		t.Fatalf("second Cancel changed the heap: %d -> %d", n, len(e.queue))
+	}
+	checkHeap(t, e)
+	if end := e.Run(); end != 40 || fired != 4 || e.Events() != 4 {
+		t.Fatalf("Run ended at %v with %d fired and %d dispatched, want 40, 4, 4", end, fired, e.Events())
+	}
+}
+
+// A bounded run that stops short of a cancelled timer ends at the
+// bound, as when the timer was still pending, and a cancelled timer
+// the run has passed no longer counts.
+func TestRunUntilCancelledTimerBeyondBound(t *testing.T) {
+	e := New(1)
+	e.At(10, func() {})
+	e.At(100, func() {}).Cancel()
+	if got := e.RunUntil(50); got != 50 {
+		t.Fatalf("RunUntil(50) = %v with a timer cancelled at 100, want 50", got)
+	}
+	if got := e.RunUntil(150); got != 50 {
+		t.Fatalf("RunUntil(150) = %v past the cancelled timer, want 50", got)
+	}
+	if got := e.RunUntil(60); got != 50 {
+		t.Fatalf("RunUntil(60) = %v after the cancelled timer was passed, want 50", got)
+	}
+
+	// Run drains everything, cancelled timers included.
+	e = New(1)
+	e.At(10, func() {})
+	e.At(100, func() {}).Cancel()
+	if got := e.Run(); got != 10 {
+		t.Fatalf("Run = %v, want 10", got)
+	}
+	if got := e.RunUntil(50); got != 10 {
+		t.Fatalf("RunUntil(50) after a drain = %v, want 10", got)
+	}
+}
+
+// A consumer that parks on Get every round allocates nothing: the
+// waiter record is pooled and the wait list keeps its array.
+func TestQueueParkedConsumerAllocs(t *testing.T) {
+	e := New(1)
+	q := NewQueue[int](e)
+	e.Spawn("consumer", func(p *Proc) {
+		for {
+			q.Get(p)
+		}
+	})
+	e.Spawn("producer", func(p *Proc) {
+		for i := 0; ; i++ {
+			p.Sleep(1)
+			q.Put(i)
+		}
+	})
+	e.RunUntil(10) // warm the event pool and the queues
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Fatalf("allocs per parked Get = %v, want 0", n)
+	}
+	e.Shutdown()
+}
+
+// A Signal/Wait ping-pong allocates nothing: the woken waiter's slot
+// is reused by its next Wait.
+func TestCondSignalWaitAllocs(t *testing.T) {
+	e := New(1)
+	var c Cond
+	turn := 0
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for {
+				for turn != i {
+					c.Wait(p)
+				}
+				turn = 1 - i
+				c.Signal()
+				if i == 1 {
+					p.Sleep(1)
+				}
+			}
+		})
+	}
+	e.RunUntil(10)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Fatalf("allocs per Signal/Wait round = %v, want 0", n)
+	}
+	e.Shutdown()
+}
+
+// lazyQueue is the reference model for FuzzEventQueue: a list sorted
+// by (time, seq) that keeps a cancelled event until its turn and then
+// skips it. The engine takes cancelled timers out early; it must be
+// indistinguishable from this model, the final clock of a bounded run
+// included.
+type lazyQueue struct {
+	seq     int64
+	now     Time
+	pending []*lazyEvent // sorted by (t, seq)
+	fired   int64
+}
+
+type lazyEvent struct {
+	t         Time
+	seq       int64
+	cancelled bool
+}
+
+// add records an event scheduled at t. It must be called next to the
+// engine call that schedules it, so both assign the same seq order.
+func (m *lazyQueue) add(t Time) *lazyEvent {
+	m.seq++
+	ev := &lazyEvent{t: t, seq: m.seq}
+	i := sort.Search(len(m.pending), func(i int) bool {
+		p := m.pending[i]
+		return p.t > t || p.t == t && p.seq > ev.seq
+	})
+	m.pending = append(m.pending, nil)
+	copy(m.pending[i+1:], m.pending[i:])
+	m.pending[i] = ev
+	return ev
+}
+
+// skip drops cancelled events from the front up to time limit.
+func (m *lazyQueue) skip(limit Time) {
+	for len(m.pending) > 0 && m.pending[0].cancelled && m.pending[0].t <= limit {
+		m.pending = m.pending[1:]
+	}
+}
+
+// dispatched checks that ev is the model's next live event and that
+// the engine's clock agrees with it.
+func (m *lazyQueue) dispatched(t *testing.T, e *Env, ev *lazyEvent) {
+	t.Helper()
+	m.skip(ev.t)
+	if len(m.pending) == 0 || m.pending[0] != ev {
+		t.Fatalf("dispatched (%v, %d), want the model's head", ev.t, ev.seq)
+	}
+	if e.Now() != ev.t {
+		t.Fatalf("clock %v at the dispatch of an event due at %v", e.Now(), ev.t)
+	}
+	m.pending = m.pending[1:]
+	m.now = ev.t
+	m.fired++
+}
+
+// runUntil returns the clock a lazy queue ends RunUntil(limit) at.
+func (m *lazyQueue) runUntil(limit Time) Time {
+	m.skip(limit)
+	if len(m.pending) > 0 {
+		m.now = limit
+	}
+	return m.now
+}
+
+// FuzzEventQueue runs a seeded random program of At, After, Schedule
+// and Cancel calls, made from callbacks, processes and between
+// RunUntil slices, and of Sleep and Yield calls from processes. Every
+// dispatch must match the lazy reference model, as must the clock at
+// the end of every slice.
+func FuzzEventQueue(f *testing.F) {
+	f.Add(uint64(1), uint16(300))
+	f.Fuzz(func(t *testing.T, seed uint64, budget uint16) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		e := New(int64(seed))
+		m := &lazyQueue{}
+		left := int(budget % 2048)
+		type handle struct {
+			ev *Event
+			me *lazyEvent
+		}
+		var handles []handle
+		delay := func() Time {
+			switch r := rng.Intn(20); {
+			case r < 5:
+				return 0 // same instant: the ready queue
+			case r < 12:
+				return Time(1 + rng.Intn(5))
+			case r < 18:
+				return Time(6 + rng.Intn(100))
+			default:
+				return Time(1000 + rng.Intn(4000)) // a timeout, likely cancelled
+			}
+		}
+		cancel := func() {
+			if len(handles) == 0 {
+				return
+			}
+			i := len(handles) - 1 - rng.Intn(min(len(handles), 16))
+			if rng.Intn(4) == 0 {
+				i = rng.Intn(len(handles))
+			}
+			handles[i].ev.Cancel()
+			handles[i].me.cancelled = true
+		}
+		var act func()
+		callback := func(me *lazyEvent) func() {
+			return func() {
+				m.dispatched(t, e, me)
+				act()
+			}
+		}
+		var proc func(p *Proc)
+		act = func() {
+			if left <= 0 {
+				return
+			}
+			left--
+			switch rng.Intn(6) {
+			case 0, 1:
+				d := delay()
+				me := m.add(e.Now() + d)
+				var ev *Event
+				if rng.Intn(2) == 0 {
+					ev = e.At(e.Now()+d, callback(me))
+				} else {
+					ev = e.After(d, callback(me))
+				}
+				handles = append(handles, handle{ev, me})
+			case 2:
+				at := e.Now() + delay()
+				e.Schedule(at, callback(m.add(at)))
+			case 3, 4:
+				cancel()
+			case 5:
+				at := e.Now() + delay()
+				me := m.add(at)
+				e.SpawnAt(at, "proc", func(p *Proc) {
+					m.dispatched(t, e, me)
+					proc(p)
+				})
+			}
+		}
+		proc = func(p *Proc) {
+			for left > 0 {
+				for k := rng.Intn(3); k >= 0; k-- {
+					act()
+				}
+				if rng.Intn(3) == 0 {
+					me := m.add(p.Now())
+					p.Yield()
+					m.dispatched(t, e, me)
+				} else {
+					d := delay()
+					me := m.add(p.Now() + d)
+					p.Sleep(d)
+					m.dispatched(t, e, me)
+				}
+			}
+		}
+		runUntil := func(limit Time) {
+			if got, want := e.RunUntil(limit), m.runUntil(limit); got != want {
+				t.Fatalf("RunUntil(%v) = %v, want %v", limit, got, want)
+			}
+			checkHeap(t, e)
+		}
+		for i := 0; i < 4; i++ {
+			act()
+		}
+		// Slices run on after the budget is spent, arming and
+		// cancelling timeouts as they go, so the tail holds bounds with
+		// only cancelled timers beyond them. Now and then Run drains
+		// the rest instead.
+		for len(m.pending) > 0 && rng.Intn(50) != 0 {
+			runUntil(e.Now() + Time(rng.Intn(600)))
+			act()
+			if left == 0 && rng.Intn(3) == 0 {
+				// An armed-then-cancelled timeout, often the last
+				// event pending.
+				d := Time(1 + rng.Intn(5000))
+				me := m.add(e.Now() + d)
+				e.After(d, callback(me)).Cancel()
+				me.cancelled = true
+			}
+		}
+		runUntil(e.Now() + Time(rng.Intn(600)))
+		e.Run()
+		m.skip(maxTime)
+		if len(m.pending) != 0 {
+			t.Fatalf("%d live events never dispatched", len(m.pending))
+		}
+		runUntil(e.Now() + Time(rng.Intn(6000))) // after a drain
+		if e.Events() != m.fired {
+			t.Fatalf("Events() = %d, model dispatched %d", e.Events(), m.fired)
+		}
+		if n := e.LiveProcs(); n != 0 {
+			t.Fatalf("%d processes still live after the program ended", n)
+		}
+	})
 }

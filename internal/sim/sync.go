@@ -1,5 +1,56 @@
 package sim
 
+// fifo is a FIFO on one backing array. pop advances a head index
+// instead of reslicing, and push slides the live window down instead
+// of growing while there is slack below the head, so a steady stream
+// of pushes and pops reuses one array and allocates nothing.
+type fifo[T any] struct {
+	buf  []T // buf[head:] holds the queue, oldest first
+	head int
+}
+
+// len reports the number of queued elements.
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// push appends x at the back.
+func (f *fifo[T]) push(x T) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		// Compact instead of growing: amortized O(1) per element.
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, x)
+}
+
+// pushFront puts x at the front, in the slack below the head if any.
+func (f *fifo[T]) pushFront(x T) {
+	if f.head > 0 {
+		f.head--
+		f.buf[f.head] = x
+		return
+	}
+	var zero T
+	f.buf = append(f.buf, zero)
+	copy(f.buf[1:], f.buf)
+	f.buf[0] = x
+}
+
+// pop removes and returns the front element; the caller checked that
+// one exists.
+func (f *fifo[T]) pop() T {
+	x := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return x
+}
+
 // Cond is a condition variable in virtual time. Waiters are woken in
 // FIFO order, which keeps simulations deterministic. The zero Cond is
 // ready to use (it binds to the environment of the first waiter), so
@@ -7,7 +58,7 @@ package sim
 // separate allocation.
 type Cond struct {
 	env     *Env
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewCond creates a condition variable bound to e.
@@ -17,34 +68,26 @@ func NewCond(e *Env) *Cond { return &Cond{env: e} }
 // sync.Cond, callers re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.env = p.env
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.park()
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.len() > 0 {
+		c.env.wake(c.waiters.pop())
 	}
-	p := c.waiters[0]
-	c.waiters[0] = nil
-	c.waiters = c.waiters[1:]
-	c.env.wake(p)
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	for i, p := range c.waiters {
-		c.env.wake(p)
-		c.waiters[i] = nil
+	for c.waiters.len() > 0 {
+		c.env.wake(c.waiters.pop())
 	}
-	// Keep the backing array: a condition variable cycles through
-	// wait/broadcast constantly and should not reallocate each round.
-	c.waiters = c.waiters[:0]
 }
 
 // Waiting reports how many processes are parked on the condition.
-func (c *Cond) Waiting() int { return len(c.waiters) }
+func (c *Cond) Waiting() int { return c.waiters.len() }
 
 // Resource is an exclusively held resource (a node's CPU, for example)
 // with a FIFO wait queue and an optional high-priority lane used for
@@ -52,10 +95,9 @@ func (c *Cond) Waiting() int { return len(c.waiters) }
 type Resource struct {
 	env    *Env
 	holder *Proc
-	// waiters[head:] is the FIFO wait queue; the slack below head
-	// absorbs AcquireFront pushes without reallocating.
-	waiters []*Proc
-	head    int
+	// waiters is the wait queue; the slack below its head absorbs
+	// AcquireFront pushes without reallocating.
+	waiters fifo[*Proc]
 	// busy accumulates total held time, for utilization reports.
 	busy       Time
 	acquiredAt Time
@@ -71,12 +113,9 @@ func (r *Resource) Acquire(p *Proc) {
 		r.acquiredAt = r.env.now
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(p)
 	p.park()
 }
-
-// queued reports how many processes wait for the resource.
-func (r *Resource) queued() int { return len(r.waiters) - r.head }
 
 // AcquireFront is Acquire, but p jumps the wait queue. Interrupt
 // service threads use it so device handling preempts queued user work
@@ -88,14 +127,7 @@ func (r *Resource) AcquireFront(p *Proc) {
 		r.acquiredAt = r.env.now
 		return
 	}
-	if r.head > 0 {
-		r.head--
-		r.waiters[r.head] = p
-	} else {
-		r.waiters = append(r.waiters, nil)
-		copy(r.waiters[1:], r.waiters)
-		r.waiters[0] = p
-	}
+	r.waiters.pushFront(p)
 	p.park()
 }
 
@@ -106,21 +138,11 @@ func (r *Resource) Release(p *Proc) {
 		panic("sim: Release by non-holder " + p.name)
 	}
 	r.busy += r.env.now - r.acquiredAt
-	if r.queued() == 0 {
+	if r.waiters.len() == 0 {
 		r.holder = nil
-		if r.head > 0 {
-			r.waiters = r.waiters[:0]
-			r.head = 0
-		}
 		return
 	}
-	next := r.waiters[r.head]
-	r.waiters[r.head] = nil
-	r.head++
-	if r.head == len(r.waiters) {
-		r.waiters = r.waiters[:0]
-		r.head = 0
-	}
+	next := r.waiters.pop()
 	r.holder = next
 	r.acquiredAt = r.env.now
 	r.env.wake(next)
@@ -154,24 +176,22 @@ func (r *Resource) BusyTime() Time {
 // Items are handed directly to waiting receivers, preserving FIFO
 // fairness among both items and receivers.
 //
-// Storage is a deque on one backing array: the head index advances on
-// Get and the array is reused once drained, so a steady-state
-// producer/consumer pair allocates nothing. Parked receivers are
-// represented by pooled waiter records for the same reason.
+// Items and parked receivers each sit in a fifo that reuses its
+// backing array, and parked receivers are represented by pooled
+// waiter records, so a steady-state producer/consumer pair allocates
+// nothing, whether the consumer finds an item waiting or parks for it.
 type Queue[T any] struct {
 	env     *Env
-	items   []T
-	head    int
-	waiters []*queueWaiter[T]
+	items   fifo[T]
+	waiters fifo[*queueWaiter[T]]
 	wfree   []*queueWaiter[T]
 	closed  bool
 }
 
 type queueWaiter[T any] struct {
-	p     *Proc
-	item  T
-	ok    bool
-	ready bool
+	p    *Proc
+	item T
+	ok   bool
 }
 
 // NewQueue creates an empty queue bound to e.
@@ -183,47 +203,20 @@ func (q *Queue[T]) Put(x T) {
 	if q.closed {
 		panic("sim: Put on closed queue")
 	}
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters[0] = nil
-		q.waiters = q.waiters[1:]
-		if len(q.waiters) == 0 {
-			q.waiters = q.waiters[:0]
-		}
-		w.item, w.ok, w.ready = x, true, true
+	if q.waiters.len() > 0 {
+		w := q.waiters.pop()
+		w.item, w.ok = x, true
 		q.env.wake(w.p)
 		return
 	}
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		// Compact instead of growing: slide the live window down so
-		// the backing array is reused. Amortized O(1) per item.
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	q.items = append(q.items, x)
-}
-
-// pop removes and returns the oldest item; the caller checked one
-// exists.
-func (q *Queue[T]) pop() T {
-	item := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return item
+	q.items.push(x)
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
-	if q.head < len(q.items) {
-		return q.pop(), true
+	if q.items.len() > 0 {
+		return q.items.pop(), true
 	}
 	if q.closed {
 		return item, false
@@ -237,7 +230,7 @@ func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
 	} else {
 		w = &queueWaiter[T]{p: p}
 	}
-	q.waiters = append(q.waiters, w)
+	q.waiters.push(w)
 	p.park()
 	item, ok = w.item, w.ok
 	var zero T
@@ -248,10 +241,10 @@ func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (item T, ok bool) {
-	if q.head == len(q.items) {
+	if q.items.len() == 0 {
 		return item, false
 	}
-	return q.pop(), true
+	return q.items.pop(), true
 }
 
 // Close marks the queue closed and wakes all blocked receivers with
@@ -261,13 +254,10 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for i, w := range q.waiters {
-		w.ready = true
-		q.env.wake(w.p)
-		q.waiters[i] = nil
+	for q.waiters.len() > 0 {
+		q.env.wake(q.waiters.pop().p)
 	}
-	q.waiters = q.waiters[:0]
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.items.len() }
