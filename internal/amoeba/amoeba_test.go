@@ -285,11 +285,6 @@ func TestSegmentsAccounting(t *testing.T) {
 	if ms[0].MemInUse() != 12288 {
 		t.Fatalf("MemInUse = %d", ms[0].MemInUse())
 	}
-	s1.Map()
-	if !s1.Mapped() {
-		t.Fatal("segment not mapped")
-	}
-	s1.Unmap()
 	s2.Resize(1024)
 	if ms[0].MemInUse() != 4096+1024 {
 		t.Fatalf("MemInUse after resize = %d", ms[0].MemInUse())
@@ -314,19 +309,6 @@ func TestSegmentDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	s.Free()
-}
-
-func TestProcessThreads(t *testing.T) {
-	env, _, ms := cluster(t, 1, nil)
-	pr := ms[0].NewProcess("app")
-	ran := 0
-	pr.SpawnThread("t1", func(p *sim.Proc) { ran++ })
-	pr.SpawnThread("t2", func(p *sim.Proc) { ran++ })
-	env.Run()
-	if ran != 2 || pr.Threads() != 2 {
-		t.Fatalf("ran=%d threads=%d", ran, pr.Threads())
-	}
-	env.Shutdown()
 }
 
 func TestDeferRunsOnInterruptThread(t *testing.T) {

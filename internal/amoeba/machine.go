@@ -144,7 +144,6 @@ func (m *Machine) interruptLoop(p *sim.Proc) {
 		}
 		h := m.ports[pkt.Port]
 		if h == nil {
-			m.env.Tracef("node%d: drop packet for unbound port %q", m.id, pkt.Port)
 			continue
 		}
 		h(p, d.Frame.Src, pkt)

@@ -230,7 +230,6 @@ func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int
 			return nil, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, port, op, dst)
 		}
 		if attempt < c.policy.Retries {
-			c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, port, op, dst)
 			send(p)
 		}
 	}

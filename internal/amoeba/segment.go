@@ -1,10 +1,6 @@
 package amoeba
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Segment is a block of machine memory, Amoeba's unit of low-level
 // memory management. Segments are memory-resident (the paper:
@@ -13,11 +9,10 @@ import (
 // The runtime system uses segments to hold object replicas, which lets
 // experiments report per-machine replica storage.
 type Segment struct {
-	m      *Machine
-	id     int
-	size   int64
-	mapped bool
-	freed  bool
+	m     *Machine
+	id    int
+	size  int64
+	freed bool
 }
 
 // AllocSegment reserves a memory segment of size bytes.
@@ -46,21 +41,6 @@ func (s *Segment) Resize(size int64) {
 	s.size = size
 }
 
-// Map marks the segment mapped into an address space.
-func (s *Segment) Map() {
-	if s.freed {
-		panic("amoeba: map of freed segment")
-	}
-	s.mapped = true
-}
-
-// Unmap removes the segment from the address space; the memory stays
-// reserved until Free.
-func (s *Segment) Unmap() { s.mapped = false }
-
-// Mapped reports whether the segment is currently mapped.
-func (s *Segment) Mapped() bool { return s.mapped }
-
 // Size reports the segment size in bytes.
 func (s *Segment) Size() int64 { return s.size }
 
@@ -78,40 +58,3 @@ func (m *Machine) MemInUse() int64 { return m.memInUse }
 
 // MemPeak reports the high-water mark of segment memory on the machine.
 func (m *Machine) MemPeak() int64 { return m.memPeak }
-
-// Process is an Amoeba process: an address space with one or more
-// threads. The Orca runtime creates one process per machine per
-// program and forks worker threads into it.
-type Process struct {
-	m       *Machine
-	name    string
-	threads int
-	segs    []*Segment
-}
-
-// NewProcess creates a process on the machine.
-func (m *Machine) NewProcess(name string) *Process {
-	return &Process{m: m, name: name}
-}
-
-// Machine returns the machine hosting the process.
-func (pr *Process) Machine() *Machine { return pr.m }
-
-// Name reports the process name.
-func (pr *Process) Name() string { return pr.name }
-
-// SpawnThread starts a thread in the process's address space.
-func (pr *Process) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
-	pr.threads++
-	return pr.m.SpawnThread(pr.name+"/"+name, fn)
-}
-
-// Threads reports how many threads have been spawned in the process.
-func (pr *Process) Threads() int { return pr.threads }
-
-// AllocSegment reserves a segment owned by the process.
-func (pr *Process) AllocSegment(size int64) *Segment {
-	s := pr.m.AllocSegment(size)
-	pr.segs = append(pr.segs, s)
-	return s
-}

@@ -1,43 +1,51 @@
 package group
 
-// Frame packing (Config.Batch): amortizing the ordering protocol over
-// many operations per network frame.
+// The submission path: every broadcast leaves a member through the
+// packers below, and Config.Batch decides how many ops share a frame.
 //
-// The unbatched protocol pays one request frame and one sequenced
-// data frame per broadcast, so the sequencer's frame rate is the
-// throughput ceiling. With batching enabled:
+// With batching off (Batch.MaxOps 1, the zero BatchConfig) every
+// packer flushes at enqueue, so each op leaves at once in the frame of
+// the paper's protocols (§3.1), with no timer and no extra event: a
+// sequencer's own op as one sequenced grp-data frame, a PB op as one
+// grp-req frame that the sequencer answers with one grp-data frame,
+// and a BB op as one grp-bb-data frame that the sequencer answers with
+// one short grp-accept frame.
 //
-//   - The sequencer runs a frame packer: incoming requests (and its
-//     own submissions) queue in a pack buffer that flushes into ONE
-//     sequenced multi-op frame — each op keeps its own sequence
-//     number, the batch occupies consecutive numbers, and the frame
-//     is broadcast once. Flush triggers: MaxOps ops queued, MaxBytes
-//     of payload queued, or Linger elapsed since the first queued op.
+// With batching on (MaxOps > 1) the same packers amortize the ordering
+// protocol over many operations per frame:
+//
+//   - The sequencer's frame packer queues incoming requests (and its
+//     own submissions) and flushes them into ONE sequenced multi-op
+//     frame: each op keeps its own sequence number, the batch
+//     occupies consecutive numbers, and the frame is broadcast once.
+//     Flush triggers: MaxOps ops queued, MaxBytes of payload queued,
+//     or Linger elapsed since the first queued op.
 //   - A sender packs ops submitted in the same virtual instant into
 //     one request frame (the cross-instant combining lives above, in
-//     the RTS write buffer, which hands whole batches down).
+//     the RTS write buffer).
 //   - The BB variant packs accepts: senders broadcast (possibly
-//     batched) data frames as usual, and the sequencer assigns a
-//     batch of consecutive sequence numbers in one short accept
-//     frame.
+//     packed) data frames as usual, and the sequencer assigns a batch
+//     of consecutive sequence numbers in one short accept frame.
 //
 // Retransmission stays per-op: the history ring records each op of a
 // batch under its own sequence number, so a member that lost a batch
 // frame recovers exactly the ops it is missing through the ordinary
 // gap machinery, and a sender re-sends only its still-unacknowledged
-// items. Batch framing is deliberately NOT load-bearing for
-// correctness — it only changes how many ops share a frame. The More
-// flag each op carries (assigned at sequencing time, stable across
-// retransmission) tells consumers where frames end, which the RTS
-// uses to run one guard-retry sweep per frame.
+// ops. Batch framing is deliberately NOT load-bearing for correctness
+// — it only changes how many ops share a frame. The More flag each op
+// carries (assigned at sequencing time, stable across retransmission)
+// tells consumers where frames end, which the RTS uses to run one
+// guard-retry sweep per frame.
 
 import (
 	"repro/internal/amoeba"
 	"repro/internal/sim"
 )
 
-// batchItem is one operation inside a packed frame.
-type batchItem struct {
+// op is one submitted operation: the record request frames, BB data
+// frames and every packer carry until the sequencer turns it into a
+// sequenced *dataMsg.
+type op struct {
 	UID    int64
 	Src    int
 	SrcSeq int64
@@ -46,25 +54,31 @@ type batchItem struct {
 	Size   int
 }
 
-// Batched wire bodies (all on the "grp" port, by pointer).
+// opsMsg is a packed frame of one member's ops.
+type opsMsg struct {
+	Items []op
+	Size  int
+}
+
+// Wire bodies that carry ops (all on the group's port). The named
+// types share op's and opsMsg's fields; they exist so handle can tell
+// the frames apart.
 type (
-	// reqBatchMsg is sender-side packing of PB requests: several ops
-	// from one member, unicast to the sequencer in one frame.
-	reqBatchMsg struct {
-		Items []batchItem
-		Size  int
-	}
+	// reqMsg is PB's RequestForBroadcast, unicast to the sequencer (by
+	// value).
+	reqMsg op
+	// bbDataMsg is BB's unsequenced data broadcast from the sender.
+	// Every receiver shares the sender's record, which nobody mutates.
+	bbDataMsg op
+	// reqBatchMsg packs several PB requests from one member.
+	reqBatchMsg opsMsg
+	// bbBatchMsg packs several BB data ops from one member.
+	bbBatchMsg opsMsg
 	// dataBatchMsg is the sequencer's packed sequenced frame: the
 	// records sequenceBatch built, consecutive in sequence order.
 	// Every receiver shares them, as with a lone *dataMsg.
 	dataBatchMsg struct {
 		Items []*dataMsg
-		Size  int
-	}
-	// bbBatchMsg is BB sender-side packing: unsequenced multi-op
-	// data, broadcast by the sender.
-	bbBatchMsg struct {
-		Items []batchItem
 		Size  int
 	}
 	// acceptBatchMsg assigns consecutive sequence numbers to several
@@ -76,54 +90,27 @@ type (
 	}
 )
 
-// BatchOp is one application operation submitted through
-// BroadcastBatch for sender-side packing.
-type BatchOp struct {
-	Kind string
-	Body any
-	Size int
-}
-
-// BroadcastBatch submits several ops in one call, appending their
-// uids to dst and returning it. With batching enabled the ops leave
-// this member packed into as few frames as the configuration allows;
-// otherwise each op broadcasts individually, exactly like Broadcast.
-// Op order is preserved within the batch.
-func (g *Member) BroadcastBatch(p *sim.Proc, ops []BatchOp, dst []int64) []int64 {
-	for _, op := range ops {
-		dst = append(dst, g.Broadcast(p, op.Kind, op.Body, op.Size))
+// packedSize is the payload of a packed frame carrying ops.
+func packedSize(ops []op) int {
+	size := 0
+	for i := range ops {
+		size += ops[i].Size + hdrItem
 	}
-	return dst
-}
-
-// submitOp is Broadcast with batching enabled: the op joins the
-// sequencer's pack buffer directly (when this member sequences) or
-// the sender-side pack buffer.
-func (g *Member) submitOp(p *sim.Proc, kind string, body any, size int) int64 {
-	uid := g.m.ServiceID()
-	g.sendSeq++
-	g.stats.Sent++
-	it := batchItem{UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Kind: kind, Body: body, Size: size}
-	if g.isSeq && g.installed {
-		g.enqueuePack(p, it)
-	} else {
-		g.enqueueSend(p, it)
-	}
-	return uid
+	return size
 }
 
 // ---------------------------------------------------------------------
 // Sequencer-side packer (PB data frames).
 
-// enqueuePack queues one op for the next packed sequenced frame,
-// flushing on MaxOps/MaxBytes and arming the Linger deadline
-// otherwise. The op is pre-marked in the dedup window (seq -1 =
-// "queued, not yet sequenced") so a retransmitted copy arriving
-// before the flush cannot be sequenced twice.
-func (g *Member) enqueuePack(p *sim.Proc, it batchItem) {
-	g.noteSeen(it.Src, it.SrcSeq, -1)
-	g.packQ = append(g.packQ, it)
-	g.packBytes += it.Size + hdrItem
+// enqueuePack queues one op for the next sequenced frame, flushing on
+// MaxOps/MaxBytes and arming the Linger deadline otherwise. The op is
+// pre-marked in the dedup window (seq -1 = "queued, not yet
+// sequenced") so a retransmitted copy arriving before the flush cannot
+// be sequenced twice.
+func (g *Member) enqueuePack(p *sim.Proc, o op) {
+	g.noteSeen(o.Src, o.SrcSeq, -1)
+	g.packQ = append(g.packQ, o)
+	g.packBytes += o.Size + hdrItem
 	b := g.cfg.Batch
 	if len(g.packQ) >= b.MaxOps || (b.MaxBytes > 0 && g.packBytes >= b.MaxBytes) {
 		g.flushPack(p)
@@ -137,12 +124,14 @@ func (g *Member) enqueuePack(p *sim.Proc, it batchItem) {
 	}
 }
 
-// detachPack cancels a packer's timer and detaches its queue. When
-// this member no longer sequences (it lost an election with ops still
-// queued), its own items re-enter the sender path — other members'
-// requests are re-sent by their own retransmission timers — and nil
-// is returned.
-func (g *Member) detachPack(p *sim.Proc, q *[]batchItem, timer **sim.Event) []batchItem {
+// detachPack cancels a packer's timer and empties its queue, returning
+// the queued ops. The returned slice shares the queue's buffer, which
+// the next enqueue reuses, so the caller reads it in full before its
+// first send. When this member no longer sequences (it lost an
+// election with ops still queued), its own ops re-enter the sender
+// path — other members' requests are re-sent by their own
+// retransmission timers — and nil is returned.
+func (g *Member) detachPack(p *sim.Proc, q *[]op, timer **sim.Event) []op {
 	if *timer != nil {
 		(*timer).Cancel()
 		*timer = nil
@@ -151,86 +140,96 @@ func (g *Member) detachPack(p *sim.Proc, q *[]batchItem, timer **sim.Event) []ba
 	if len(items) == 0 {
 		return nil
 	}
-	*q = nil
 	if !g.isSeq || !g.installed {
-		for _, it := range items {
-			if it.Src == g.m.ID() {
-				g.enqueueSend(p, it)
+		*q = nil
+		for _, o := range items {
+			if o.Src == g.m.ID() {
+				g.enqueueSend(p, o)
 			}
 		}
 		return nil
 	}
+	*q = items[:0]
 	return items
 }
 
-// sequenceBatch assigns consecutive sequence numbers to items and
-// records each op in the history ring; every op but the last carries
-// the More (mid-frame) flag.
-func (g *Member) sequenceBatch(items []batchItem) []*dataMsg {
+// sequence assigns o the next sequence number and records it in the
+// history ring.
+func (g *Member) sequence(o op, more bool) *dataMsg {
+	d := &dataMsg{Seq: g.nextSeqNum(), op: o, Epoch: g.epoch, More: more}
+	g.recordHistory(d)
+	return d
+}
+
+// sequenceBatch sequences items at consecutive numbers; every op but
+// the last carries the More (mid-frame) flag.
+func (g *Member) sequenceBatch(items []op) []*dataMsg {
 	ds := make([]*dataMsg, len(items))
-	for i, it := range items {
-		d := &dataMsg{Seq: g.nextSeqNum(), UID: it.UID, Src: it.Src, SrcSeq: it.SrcSeq, Kind: it.Kind,
-			Body: it.Body, Size: it.Size, Epoch: g.epoch, More: i < len(items)-1}
-		g.recordHistory(d)
-		ds[i] = d
+	for i := range items {
+		ds[i] = g.sequence(items[i], i < len(items)-1)
 	}
 	return ds
 }
 
-// flushPack sequences and broadcasts the queued ops as one frame.
+// flushPack sequences and broadcasts the queued ops as one frame. The
+// frame counts as a PB send only when it carries an op this member
+// submitted (see Stats.PBSends).
 func (g *Member) flushPack(p *sim.Proc) {
 	items := g.detachPack(p, &g.packQ, &g.packTimer)
 	g.packBytes = 0
 	if items == nil {
 		return
 	}
-	ds := g.sequenceBatch(items)
+	for i := range items {
+		if items[i].Src == g.m.ID() {
+			g.stats.PBSends++
+			break
+		}
+	}
+	g.castOps(p, items)
+}
+
+// castOps sequences items at consecutive numbers and sends them in one
+// frame: a grp-data frame for a lone op, a packed grp-bdata frame
+// otherwise, or one multi-slot proposal under consensus. The sequencer
+// delivers them itself at once (under consensus, once a quorum
+// accepts). items may share a packer's buffer: it is read in full
+// before the first send.
+func (g *Member) castOps(p *sim.Proc, items []op) {
+	if len(items) > 1 {
+		g.stats.Batches++
+		g.stats.BatchedOps += int64(len(items))
+	}
 	if g.cfg.Protocol == Consensus {
 		// The packed frame becomes one multi-slot proposal: the whole
 		// batch is accepted atomically per member, which is what keeps
 		// More boundaries stable across a re-proposal.
-		if len(items) > 1 {
-			g.stats.Batches++
-			g.stats.BatchedOps += int64(len(items))
-		}
-		g.propose(p, ds)
+		g.propose(p, g.sequenceBatch(items))
 		return
 	}
-	g.stats.PBSends++
 	if len(items) == 1 {
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: ds[0], Size: ds[0].Size + hdrData})
-	} else {
-		size := 0
-		for _, it := range items {
-			size += it.Size + hdrItem
-		}
-		g.stats.Batches++
-		g.stats.BatchedOps += int64(len(items))
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bdata",
-			Body: &dataBatchMsg{Items: ds, Size: size}, Size: size + hdrData})
+		d := g.sequence(items[0], false)
+		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
+		g.processData(p, d)
+		return
 	}
+	size := packedSize(items)
+	ds := g.sequenceBatch(items)
+	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bdata",
+		Body: &dataBatchMsg{Items: ds, Size: size}, Size: size + hdrData})
 	for _, d := range ds {
 		g.processData(p, d)
 	}
 }
 
-// onDataBatch unpacks a sequenced multi-op frame at a member. Each op
-// runs through the ordinary ordered-delivery core under its own
-// sequence number.
-func (g *Member) onDataBatch(p *sim.Proc, b *dataBatchMsg) {
-	for _, d := range b.Items {
-		g.processData(p, d)
-	}
-}
-
 // ---------------------------------------------------------------------
-// Sequencer-side packer, BB variant (packed accepts).
+// Sequencer-side packer, BB variant (accepts).
 
 // enqueueAccept queues a BB op (whose data the members already hold)
-// for the next packed accept frame.
-func (g *Member) enqueueAccept(p *sim.Proc, it batchItem) {
-	g.noteSeen(it.Src, it.SrcSeq, -1)
-	g.accQ = append(g.accQ, it)
+// for the next accept frame.
+func (g *Member) enqueueAccept(p *sim.Proc, o op) {
+	g.noteSeen(o.Src, o.SrcSeq, -1)
+	g.accQ = append(g.accQ, o)
 	if len(g.accQ) >= g.cfg.Batch.MaxOps {
 		g.flushAccepts(p)
 		return
@@ -251,54 +250,24 @@ func (g *Member) flushAccepts(p *sim.Proc) {
 	if items == nil {
 		return
 	}
-	ds := g.sequenceBatch(items)
 	if len(items) == 1 {
+		d := g.sequence(items[0], false)
 		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept",
-			Body: acceptMsg{Seq: ds[0].Seq, UID: ds[0].UID, Epoch: g.epoch}, Size: hdrAccept})
-	} else {
-		uids := make([]int64, len(items))
-		for i := range items {
-			uids[i] = items[i].UID
-		}
-		g.stats.Batches++
-		g.stats.BatchedOps += int64(len(items))
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-baccept",
-			Body: &acceptBatchMsg{Seq: ds[0].Seq, UIDs: uids, Epoch: g.epoch}, Size: hdrAccept + 8*len(uids)})
+			Body: acceptMsg{Seq: d.Seq, UID: d.UID, Epoch: g.epoch}, Size: hdrAccept})
+		g.processData(p, d)
+		return
 	}
+	ds := g.sequenceBatch(items)
+	uids := make([]int64, len(ds))
+	for i, d := range ds {
+		uids[i] = d.UID
+	}
+	g.stats.Batches++
+	g.stats.BatchedOps += int64(len(ds))
+	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-baccept",
+		Body: &acceptBatchMsg{Seq: ds[0].Seq, UIDs: uids, Epoch: g.epoch}, Size: hdrAccept + 8*len(uids)})
 	for _, d := range ds {
 		g.processData(p, d)
-	}
-}
-
-// onAcceptBatch handles a packed accept at a non-sequencer member:
-// each (Seq+i, UIDs[i]) pair runs the single-accept logic.
-func (g *Member) onAcceptBatch(p *sim.Proc, a *acceptBatchMsg) {
-	if a.Epoch < g.epoch {
-		return // stale sequencer's stream
-	}
-	if a.Epoch > g.epoch {
-		g.epoch = a.Epoch // adopt the newer view's stream
-		g.electing = false
-	}
-	for i, uid := range a.UIDs {
-		seq := a.Seq + int64(i)
-		if seq < g.nextSeq {
-			delete(g.pendingBB, uid) // late duplicate; GC the stashed data
-			continue
-		}
-		if bb, ok := g.pendingBB[uid]; ok {
-			delete(g.pendingBB, uid)
-			g.processData(p, &dataMsg{Seq: seq, UID: uid, Src: bb.Src, SrcSeq: bb.SrcSeq, Kind: bb.Kind,
-				Body: bb.Body, Size: bb.Size, Epoch: g.epoch, More: i < len(a.UIDs)-1})
-			continue
-		}
-		// Data frame lost: remember the accept and fetch the payload
-		// from the sequencer's history via the gap machinery.
-		g.acceptedBB[seq] = bbAccept{uid: uid, more: i < len(a.UIDs)-1}
-		if seq > g.maxSeen {
-			g.maxSeen = seq
-		}
-		g.armGapTimer()
 	}
 }
 
@@ -310,9 +279,9 @@ func (g *Member) onAcceptBatch(p *sim.Proc, a *acceptBatchMsg) {
 // instant leaves in one frame (cross-instant combining is the RTS
 // write buffer's job). MaxOps/MaxBytes flush early so one frame never
 // carries more than a configured batch.
-func (g *Member) enqueueSend(p *sim.Proc, it batchItem) {
-	g.sendQ = append(g.sendQ, it)
-	g.sendBytes += it.Size + hdrItem
+func (g *Member) enqueueSend(p *sim.Proc, o op) {
+	g.sendQ = append(g.sendQ, o)
+	g.sendBytes += o.Size + hdrItem
 	b := g.cfg.Batch
 	if len(g.sendQ) >= b.MaxOps || (b.MaxBytes > 0 && g.sendBytes >= b.MaxBytes) {
 		g.flushSend(p)
@@ -333,93 +302,81 @@ func (g *Member) flushSend(p *sim.Proc) {
 	if len(items) == 0 {
 		return
 	}
-	g.sendQ = nil
 	g.sendBytes = 0
 	if g.isSeq && g.installed {
 		// Became the sequencer while ops were queued: sequence them
 		// directly.
-		for _, it := range items {
-			g.enqueuePack(p, it)
+		g.sendQ = nil
+		for _, o := range items {
+			g.enqueuePack(p, o)
 		}
 		return
 	}
 	if len(items) == 1 {
-		it := items[0]
-		st := &sendState{uid: it.UID, srcSeq: it.SrcSeq, kind: it.Kind, body: it.Body, size: it.Size, method: g.resolveMethod(it.Size)}
-		g.outstanding[it.UID] = st
-		g.transmit(p, st)
-		g.armSenderTimer(st)
+		// The lone op is copied into its send state, so the queue keeps
+		// its buffer.
+		g.sendQ = items[:0]
+		g.startSend(p, loneSend(items[0], g.resolveMethod(items[0].Size)))
 		return
 	}
-	size := 0
-	for _, it := range items {
-		size += it.Size + hdrItem
-	}
-	st := &sendState{items: items, size: size, method: g.resolveMethod(size)}
-	for i := range items {
-		g.outstanding[items[i].UID] = st
-	}
+	g.sendQ = nil
 	g.stats.Batches++
 	g.stats.BatchedOps += int64(len(items))
+	g.startSend(p, &sendState{items: items, method: g.resolveMethod(packedSize(items))})
+}
+
+// startSend registers st's ops as outstanding, transmits them, and
+// arms the retransmission timer.
+func (g *Member) startSend(p *sim.Proc, st *sendState) {
+	for i := range st.items {
+		g.outstanding[st.items[i].UID] = st
+	}
 	g.transmit(p, st)
 	g.armSenderTimer(st)
 }
 
-// transmitBatch performs one send attempt for a batched send. Only
-// the still-outstanding items travel; a retransmission after a
-// partial acknowledgment shrinks the frame.
-func (g *Member) transmitBatch(p *sim.Proc, st *sendState) {
-	live := make([]batchItem, 0, len(st.items))
-	size := 0
-	for i := range st.items {
-		if g.outstanding[st.items[i].UID] == st {
-			live = append(live, st.items[i])
-			size += st.items[i].Size + hdrItem
+// transmit performs one send attempt for an outstanding send. A lone
+// op travels in the paper's grp-req or grp-bb-data frame. A packed
+// send carries only its still-outstanding ops, so a retransmission
+// after a partial acknowledgment shrinks the frame.
+func (g *Member) transmit(p *sim.Proc, st *sendState) {
+	live := st.items
+	if st.packed() {
+		live = make([]op, 0, len(st.items))
+		for i := range st.items {
+			if g.outstanding[st.items[i].UID] == st {
+				live = append(live, st.items[i])
+			}
 		}
-	}
-	if len(live) == 0 {
-		return
+		if len(live) == 0 {
+			return
+		}
 	}
 	switch st.method {
 	case ForcePB:
 		g.stats.PBSends++
-		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-breq",
-			Body: &reqBatchMsg{Items: live, Size: size}, Size: size + hdrData})
+		if st.packed() {
+			size := packedSize(live)
+			g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-breq",
+				Body: &reqBatchMsg{Items: live, Size: size}, Size: size + hdrData})
+		} else {
+			g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-req",
+				Body: reqMsg(live[0]), Size: live[0].Size + hdrData})
+		}
 	case ForceBB:
 		g.stats.BBSends++
+		// The sender keeps the records it broadcasts; it will not hear
+		// its own frame, and nobody mutates them.
 		for i := range live {
-			it := live[i]
-			g.pendingBB[it.UID] = &bbDataMsg{UID: it.UID, Src: it.Src, SrcSeq: it.SrcSeq, Kind: it.Kind, Body: it.Body, Size: it.Size}
+			g.pendingBB[live[i].UID] = &live[i]
 		}
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-bdata",
-			Body: &bbBatchMsg{Items: live, Size: size}, Size: size + hdrData})
-	}
-}
-
-// onReqBatch handles a packed request frame at the sequencer: each
-// item dedups individually and joins the pack buffer.
-func (g *Member) onReqBatch(p *sim.Proc, b *reqBatchMsg) {
-	if !g.isSeq || !g.installed {
-		return // stale or uninstalled view; the sender will retry
-	}
-	for i := range b.Items {
-		it := b.Items[i]
-		if seq, dup := g.seenSeq(it.Src, it.SrcSeq); dup {
-			if d := g.history.get(seq); d != nil && (g.cfg.Protocol != Consensus || seq <= g.committed) {
-				g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
-			}
-			continue
+		if st.packed() {
+			size := packedSize(live)
+			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-bdata",
+				Body: &bbBatchMsg{Items: live, Size: size}, Size: size + hdrData})
+		} else {
+			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-data",
+				Body: (*bbDataMsg)(&live[0]), Size: live[0].Size + hdrData})
 		}
-		g.enqueuePack(p, it)
-	}
-}
-
-// onBBBatch unpacks a batched BB data frame: each item runs the
-// single-item BB logic (accept-packing at the sequencer, stashing or
-// completion at a member).
-func (g *Member) onBBBatch(p *sim.Proc, b *bbBatchMsg) {
-	for i := range b.Items {
-		it := b.Items[i]
-		g.onBBData(p, &bbDataMsg{UID: it.UID, Src: it.Src, SrcSeq: it.SrcSeq, Kind: it.Kind, Body: it.Body, Size: it.Size})
 	}
 }

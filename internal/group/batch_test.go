@@ -18,11 +18,9 @@ func batchCfg(maxOps, maxBytes int, linger sim.Time) func(*Config) {
 // burst submits n same-instant ops of the given size from node i.
 func burst(h *harness, i, n, size int) {
 	h.ms[i].SpawnThread("burst", func(p *sim.Proc) {
-		ops := make([]BatchOp, n)
-		for k := range ops {
-			ops[k] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%d", i, k), Size: size}
+		for k := 0; k < n; k++ {
+			h.gs[i].Broadcast(p, "msg", fmt.Sprintf("n%d-%d", i, k), size)
 		}
-		h.gs[i].BroadcastBatch(p, ops, nil)
 	})
 }
 
@@ -156,11 +154,9 @@ func TestBatchTotalOrderUnderLoss(t *testing.T) {
 				i := i
 				h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 					for k := 0; k < bursts; k++ {
-						ops := make([]BatchOp, per)
-						for j := range ops {
-							ops[j] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%d-%d", i, k, j), Size: 150}
+						for j := 0; j < per; j++ {
+							h.gs[i].Broadcast(p, "msg", fmt.Sprintf("n%d-%d-%d", i, k, j), 150)
 						}
-						h.gs[i].BroadcastBatch(p, ops, nil)
 						p.Sleep(sim.Time(3+i) * sim.Millisecond)
 					}
 				})
@@ -197,11 +193,9 @@ func TestBatchSequencerCrash(t *testing.T) {
 		i := i
 		h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 			send := func(tag string, k int) {
-				ops := make([]BatchOp, 3)
-				for j := range ops {
-					ops[j] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), Size: 100}
+				for j := 0; j < 3; j++ {
+					h.gs[i].Broadcast(p, "msg", fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), 100)
 				}
-				h.gs[i].BroadcastBatch(p, ops, nil)
 			}
 			for k := 0; k < 4; k++ {
 				send("pre", k)
@@ -237,24 +231,85 @@ func TestBatchSequencerCrash(t *testing.T) {
 	h.env.Shutdown()
 }
 
-// TestBatchOffUnchangedWire: with the zero BatchConfig the wire
-// carries only the classic frame kinds — the batching machinery is
-// fully dormant.
+// TestBatchOffUnchangedWire: with the zero BatchConfig every op
+// travels alone in the paper's frames. Each case submits two
+// same-instant ops and pins the exact frame count per kind and every
+// member's PBSends/BBSends: a sequencer's own op is one grp-data
+// frame, a relayed PB op a grp-req and a grp-data frame, a BB op a
+// grp-bb-data and a grp-accept frame, and a consensus leader's own op
+// one proposal with its acks and commit. PBSends counts each PB op
+// once, at its originator.
 func TestBatchOffUnchangedWire(t *testing.T) {
-	h := newHarness(11, 3, nil, nil)
-	h.ms[1].SpawnThread("producer", func(p *sim.Proc) {
-		ops := make([]BatchOp, 4)
-		for j := range ops {
-			ops[j] = BatchOp{Kind: "msg", Body: j, Size: 100}
-		}
-		h.gs[1].BroadcastBatch(p, ops, nil)
-	})
+	kinds := []string{"grp-req", "grp-data", "grp-bb-data", "grp-accept", "grp-prop", "grp-pacc", "grp-pcmt",
+		"grp-breq", "grp-bdata", "grp-bb-bdata", "grp-baccept", "grp-retx", "grp-retx-req"}
+	cases := []struct {
+		name      string
+		consensus bool
+		node      int // the submitting member; node 0 sequences
+		size      int
+		frames    map[string]int64 // exact count of each kind above; absent means 0
+		pb, bb    [3]int64
+	}{
+		{"sequencer-own-op", false, 0, 100,
+			map[string]int64{"grp-data": 2}, [3]int64{2, 0, 0}, [3]int64{}},
+		{"relayed-pb-op", false, 1, 100,
+			map[string]int64{"grp-req": 2, "grp-data": 2}, [3]int64{0, 2, 0}, [3]int64{}},
+		{"bb-op", false, 1, 2000,
+			map[string]int64{"grp-bb-data": 2, "grp-accept": 2}, [3]int64{}, [3]int64{0, 2, 0}},
+		{"consensus-leader-own-op", true, 0, 100,
+			map[string]int64{"grp-prop": 2, "grp-pacc": 4, "grp-pcmt": 2}, [3]int64{2, 0, 0}, [3]int64{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(11, 3, nil, func(c *Config) {
+				if tc.consensus {
+					c.Protocol = Consensus
+				}
+			})
+			h.ms[tc.node].SpawnThread("producer", func(p *sim.Proc) {
+				for j := 0; j < 2; j++ {
+					h.gs[tc.node].Broadcast(p, "msg", j, tc.size)
+				}
+			})
+			h.env.RunUntil(2 * sim.Second)
+			h.checkAgreement(t, 2, nil)
+			st := h.net.Stats()
+			for _, kind := range kinds {
+				if got := st.CountsByKind[kind]; got != tc.frames[kind] {
+					t.Errorf("%s frames = %d, want %d", kind, got, tc.frames[kind])
+				}
+			}
+			for i, g := range h.gs {
+				gs := g.Stats()
+				if gs.PBSends != tc.pb[i] || gs.BBSends != tc.bb[i] {
+					t.Errorf("node %d: PBSends=%d BBSends=%d, want %d and %d", i, gs.PBSends, gs.BBSends, tc.pb[i], tc.bb[i])
+				}
+			}
+			h.env.Stop()
+			h.env.Shutdown()
+		})
+	}
+}
+
+// TestBatchedPBSendsCountOriginator: under batching, a sequencer frame
+// that carries only other members' ops adds no PBSends at the
+// sequencer. Each op counts once, at the member whose request frame
+// carried it.
+func TestBatchedPBSendsCountOriginator(t *testing.T) {
+	h := newHarness(13, 3, nil, batchCfg(4, 1<<20, sim.Millisecond))
+	burst(h, 1, 4, 100)
 	h.env.RunUntil(2 * sim.Second)
 	h.checkAgreement(t, 4, nil)
 	st := h.net.Stats()
-	for _, kind := range []string{"grp-breq", "grp-bdata", "grp-bb-bdata", "grp-baccept"} {
-		if st.CountsByKind[kind] != 0 {
-			t.Errorf("batched frame kind %s on the wire with batching off", kind)
+	if got := st.CountsByKind["grp-breq"]; got != 1 {
+		t.Errorf("packed request frames = %d, want 1", got)
+	}
+	if got := st.CountsByKind["grp-bdata"]; got != 1 {
+		t.Errorf("packed data frames = %d, want 1", got)
+	}
+	for i, want := range []int64{0, 1, 0} {
+		if got := h.gs[i].Stats().PBSends; got != want {
+			t.Errorf("node %d: PBSends = %d, want %d", i, got, want)
 		}
 	}
 	h.env.Stop()

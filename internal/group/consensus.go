@@ -260,7 +260,6 @@ func (g *Member) broadcastProp(p *sim.Proc, ds []*dataMsg) {
 	for _, d := range ds {
 		size += d.Size + hdrItem
 	}
-	g.stats.PBSends++
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-prop",
 		Body: &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, Size: size + hdrData})
 }
@@ -394,10 +393,8 @@ func (g *Member) stepDown(p *sim.Proc) {
 		g.propTimer.Cancel()
 		g.propTimer = nil
 	}
-	if g.cfg.Batch.Enabled() {
-		g.detachPack(p, &g.packQ, &g.packTimer)
-		g.packBytes = 0
-	}
+	g.detachPack(p, &g.packQ, &g.packTimer)
+	g.packBytes = 0
 	hi := g.maxSeen
 	g.maxSeen = g.committed // assigned-but-unchosen slots are void
 	for s := g.committed + 1; s <= hi; s++ {
@@ -408,11 +405,8 @@ func (g *Member) stepDown(p *sim.Proc) {
 		if _, mine := g.outstanding[d.UID]; mine {
 			continue
 		}
-		st := &sendState{uid: d.UID, srcSeq: d.SrcSeq, kind: d.Kind, body: d.Body, size: d.Size, method: ForcePB}
-		g.outstanding[d.UID] = st
 		g.stats.Retransmits++
-		g.transmit(p, st)
-		g.armSenderTimer(st)
+		g.startSend(p, loneSend(d.op, ForcePB))
 	}
 }
 
@@ -642,7 +636,6 @@ func (g *Member) startTakeover(p *sim.Proc) {
 	}
 	g.takeover = t
 	g.mergePromise(t, promMsg{Ballot: b, Node: g.m.ID(), Slots: g.promiseSlots(t.from)})
-	g.m.Env().Tracef("node%d: consensus takeover, ballot %d from slot %d", g.m.ID(), b, t.from)
 	g.broadcastPrep(p)
 	g.armTakeoverTimer()
 	g.checkTakeover(p) // a single-member group is its own quorum
@@ -859,7 +852,7 @@ func (g *Member) finalizeTakeover(p *sim.Proc) {
 		if ps, ok := t.slots[s]; ok {
 			chosen = append(chosen, ps.D)
 		} else {
-			chosen = append(chosen, &dataMsg{Seq: s, Src: -1, Kind: noopKind})
+			chosen = append(chosen, &dataMsg{Seq: s, op: op{Src: -1, Kind: noopKind}})
 		}
 	}
 	// A More-flagged slot whose successor was noop-filled (or fell off
@@ -918,8 +911,6 @@ func (g *Member) finalizeTakeover(p *sim.Proc) {
 		}
 		g.acked[idx] = g.maxSeen
 	}
-	g.m.Env().Tracef("node%d: consensus leader, ballot %d, slots %d..%d",
-		g.m.ID(), g.ballot, t.from, t.maxSlot)
 	if len(chosen) > 0 {
 		g.stats.Reproposals += int64(len(chosen))
 		for start := 0; start < len(chosen); start += 32 {
@@ -1015,7 +1006,6 @@ func (g *Member) onJoinInfo(m joinInfoMsg) {
 	if g.committed > g.maxSeen {
 		g.maxSeen = g.committed
 	}
-	g.m.Env().Tracef("node%d: joined at commit %d (leader %d)", g.m.ID(), g.committed, g.seqNode)
 	if g.nextSeq <= g.maxSeen {
 		g.armGapTimer()
 	}

@@ -141,11 +141,9 @@ func TestConsensusBatchCrashFrames(t *testing.T) {
 		i := i
 		h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 			send := func(tag string, k int) {
-				ops := make([]BatchOp, 3)
-				for j := range ops {
-					ops[j] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), Size: 100}
+				for j := 0; j < 3; j++ {
+					h.gs[i].Broadcast(p, "msg", fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), 100)
 				}
-				h.gs[i].BroadcastBatch(p, ops, nil)
 			}
 			for k := 0; k < 4; k++ {
 				send("pre", k)
@@ -313,10 +311,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-batch", func(c *Config) { c.Batch = BatchConfig{MaxOps: -1} }, "batch"},
 		{"batch-no-linger", func(c *Config) { c.Batch = BatchConfig{MaxOps: 4, MaxBytes: 1 << 20} },
 			"positive Linger"},
-		{"sharded", func(c *Config) { c.Shard = 2; c.ShardCount = 3 }, ""},
-		{"negative-shard-count", func(c *Config) { c.ShardCount = -1 }, "negative shard count"},
-		{"shard-out-of-range", func(c *Config) { c.Shard = 3; c.ShardCount = 3 }, "out of range"},
-		{"shard-without-count", func(c *Config) { c.Shard = 1 }, "without a shard count"},
 	}
 	for _, tc := range cases {
 		tc := tc

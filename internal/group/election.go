@@ -57,7 +57,6 @@ func (g *Member) beginEpoch(p *sim.Proc, epoch int) {
 	g.haveCoord = false
 	me := electMsg{Epoch: epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}
 	g.bestCand = me
-	g.m.Env().Tracef("node%d: election epoch %d, my highseq %d", g.m.ID(), epoch, me.HighSeq)
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-elect", Body: me, Size: hdrSmall})
 	g.armElectionTimer()
 }
@@ -172,7 +171,6 @@ func (g *Member) becomeSequencer(p *sim.Proc) {
 	// (the per-source delivery windows suppress double delivery).
 	g.buffered.reset(g.nextSeq)
 	g.acceptedBB = make(map[int64]bbAccept)
-	g.m.Env().Tracef("node%d: became sequencer, epoch %d, highseq %d", g.m.ID(), g.epoch, g.maxSeen)
 	g.announceView(p)
 }
 
@@ -211,7 +209,6 @@ func (g *Member) checkViewInstalled(p *sim.Proc) {
 		}
 	}
 	g.installed = true
-	g.m.Env().Tracef("node%d: view epoch %d installed", g.m.ID(), g.epoch)
 	g.kickOutstanding(p)
 }
 
@@ -230,7 +227,6 @@ func (g *Member) onCoordNack(p *sim.Proc, n coordNack) {
 	if !g.isSeq || n.Epoch < g.epoch {
 		return
 	}
-	g.m.Env().Tracef("node%d: view nacked by %d (high %d), re-electing", g.m.ID(), n.Node, n.HighSeq)
 	g.isSeq = false
 	g.installed = false
 	g.startElection(p)
@@ -266,8 +262,6 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 		// election runs, which we will win; otherwise the new
 		// sequencer would reassign sequence numbers we have already
 		// delivered.
-		g.m.Env().Tracef("node%d: ahead of claimed winner (mine %d > %d), nacking",
-			g.m.ID(), g.nextSeq-1, c.HighSeq)
 		g.m.Send(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-nack",
 			Body: coordNack{Epoch: c.Epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}, Size: hdrSmall})
 		if c.Epoch == g.epoch {
@@ -345,26 +339,23 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 // sequence — concurrent messages in a random order, breaking run
 // determinism.
 func (g *Member) kickOutstanding(p *sim.Proc) {
-	// Flatten batched sends into single-op states first: batch
-	// framing is not preserved across a view change, and per-op
-	// states keep the re-submission below uniform. Replacing map
-	// values is order-independent, so iterating the map here cannot
-	// perturb determinism (nothing transmits during the flatten).
+	// Flatten packed sends into lone-op sends first: batch framing is
+	// not preserved across a view change, and lone sends keep the
+	// re-submission below uniform. Replacing map values is
+	// order-independent, so iterating the map here cannot perturb
+	// determinism (nothing transmits during the flatten).
 	for _, st := range g.outstanding {
-		if st.items == nil {
+		if !st.packed() {
 			continue
 		}
 		if st.timer != nil {
 			st.timer.Cancel()
 			st.timer = nil
 		}
-		for i := range st.items {
-			it := st.items[i]
-			if g.outstanding[it.UID] != st {
-				continue
+		for _, o := range st.items {
+			if g.outstanding[o.UID] == st {
+				g.outstanding[o.UID] = loneSend(o, g.resolveMethod(o.Size))
 			}
-			g.outstanding[it.UID] = &sendState{uid: it.UID, srcSeq: it.SrcSeq, kind: it.Kind,
-				body: it.Body, size: it.Size, method: g.resolveMethod(it.Size)}
 		}
 	}
 	sts := make([]*sendState, 0, len(g.outstanding))
@@ -372,7 +363,7 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 		sts = append(sts, st)
 	}
 	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0 && sts[j].uid < sts[j-1].uid; j-- {
+		for j := i; j > 0 && sts[j].items[0].UID < sts[j-1].items[0].UID; j-- {
 			sts[j], sts[j-1] = sts[j-1], sts[j]
 		}
 	}
@@ -383,18 +374,12 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 			if st.timer != nil {
 				st.timer.Cancel()
 			}
-			delete(g.outstanding, st.uid)
-			if _, dup := g.seenSeq(g.m.ID(), st.srcSeq); dup {
+			o := st.items[0]
+			delete(g.outstanding, o.UID)
+			if _, dup := g.seenSeq(o.Src, o.SrcSeq); dup {
 				continue // already sequenced in a previous view
 			}
-			d := &dataMsg{Seq: g.nextSeqNum(), UID: st.uid, Src: g.m.ID(), SrcSeq: st.srcSeq, Kind: st.kind, Body: st.body, Size: st.size, Epoch: g.epoch}
-			g.recordHistory(d)
-			if g.cfg.Protocol == Consensus {
-				g.propose(p, []*dataMsg{d})
-				continue
-			}
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
-			g.processData(p, d)
+			g.castOps(p, st.items)
 			continue
 		}
 		g.stats.Retransmits++

@@ -62,15 +62,15 @@ func (pr Protocol) String() string {
 }
 
 // BatchConfig governs frame packing (see DESIGN.md, "Batching and
-// frame packing"). When enabled, the sequencer coalesces queued
-// requests into one sequenced multi-op frame (one sequence number per
-// op, one frame per batch), and a sender packs ops submitted in the
-// same virtual instant into one request frame. The zero value
-// disables packing and leaves every code path of the unbatched
-// protocol untouched.
+// frame packing"). Every op goes through the same packers (batch.go):
+// the sequencer coalesces queued requests into one sequenced frame
+// (one sequence number per op, one frame per batch), and a sender
+// packs ops submitted in the same virtual instant into one request
+// frame. With MaxOps below 2 (the zero value) every packer flushes at
+// enqueue, so each op travels alone in the paper's PB/BB frames.
 type BatchConfig struct {
-	// MaxOps flushes a packed frame at this many ops. Values below 2
-	// disable batching.
+	// MaxOps flushes a packed frame at this many ops. Join treats
+	// values below 2 as 1: one op per frame.
 	MaxOps int
 	// MaxBytes flushes when the packed payload reaches this many
 	// bytes (so a batch stays within one wire fragment).
@@ -80,7 +80,7 @@ type BatchConfig struct {
 	Linger sim.Time
 }
 
-// Enabled reports whether frame packing is on.
+// Enabled reports whether more than one op may share a frame.
 func (b BatchConfig) Enabled() bool { return b.MaxOps > 1 }
 
 // Config parameterizes a group.
@@ -108,7 +108,8 @@ type Config struct {
 	// joiner adopts the commit watermark via a majority read and
 	// catches up through ordinary gap recovery.
 	AllowJoin bool
-	// Batch configures frame packing; the zero value disables it.
+	// Batch configures frame packing; the zero value sends one op per
+	// frame.
 	Batch BatchConfig
 	// SenderTimeout is how long a sender waits for its broadcast to be
 	// sequenced before retransmitting.
@@ -135,17 +136,10 @@ type Config struct {
 	// traffic stops (a trailing dropped broadcast would otherwise go
 	// unnoticed forever).
 	Heartbeat sim.Time
-	// Port overrides the kernel port the group binds. Hosting several
-	// groups on one machine requires distinct ports (Bind panics on a
-	// duplicate). Empty derives the default: "grp" for a solitary
-	// group, "grp<Shard>" when ShardCount labels this group as one of
-	// N co-hosted sequencer groups.
+	// Port is the kernel port the group binds; empty means "grp".
+	// Hosting several groups on one machine requires distinct ports
+	// (Bind panics on a duplicate).
 	Port string
-	// Shard and ShardCount label this group's position among N
-	// co-hosted sequencer groups (sharded total order; see
-	// internal/rts Router). The zero values mean a solitary group.
-	Shard      int
-	ShardCount int
 }
 
 // DefaultConfig returns a configuration tuned for the simulated
@@ -208,15 +202,6 @@ func (c Config) Validate() error {
 	if c.Batch.Enabled() && c.Batch.Linger <= 0 {
 		return errors.New("group: batching requires a positive Linger deadline")
 	}
-	if c.ShardCount < 0 {
-		return fmt.Errorf("group: negative shard count %d", c.ShardCount)
-	}
-	if c.ShardCount > 0 && (c.Shard < 0 || c.Shard >= c.ShardCount) {
-		return fmt.Errorf("group: shard %d out of range [0,%d)", c.Shard, c.ShardCount)
-	}
-	if c.ShardCount == 0 && c.Shard != 0 {
-		return fmt.Errorf("group: shard %d set without a shard count", c.Shard)
-	}
 	return nil
 }
 
@@ -244,44 +229,21 @@ type Delivery struct {
 	Dup bool
 }
 
-// Wire message bodies. All travel on the "grp" port. SrcSeq is the
+// Wire message bodies. All travel on the group's port; the frames
+// that carry unsequenced ops are in batch.go. An op's SrcSeq is the
 // sender's dense per-member submission counter: the sequencer and the
 // delivery path dedup on (Src, SrcSeq) with O(1) ring-buffer windows
 // instead of uid hash maps.
 type (
-	// reqMsg is PB's RequestForBroadcast, unicast to the sequencer.
-	reqMsg struct {
-		UID    int64
-		Src    int
-		SrcSeq int64
-		Kind   string
-		Body   any
-		Size   int
-	}
-	// dataMsg is the sequenced message broadcast by the sequencer
-	// (PB), or unicast as a retransmission. Epoch stamps the
-	// sequencer's view so stale pre-election frames cannot interleave
-	// with a new sequencer's stream. More marks a mid-batch op (see
-	// Delivery).
+	// dataMsg is the sequenced op broadcast by the sequencer (PB), or
+	// unicast as a retransmission. Epoch stamps the sequencer's view so
+	// stale pre-election frames cannot interleave with a new
+	// sequencer's stream. More marks a mid-batch op (see Delivery).
 	dataMsg struct {
-		Seq    int64
-		UID    int64
-		Src    int
-		SrcSeq int64
-		Kind   string
-		Body   any
-		Size   int
-		Epoch  int
-		More   bool
-	}
-	// bbDataMsg is BB's unsequenced data broadcast from the sender.
-	bbDataMsg struct {
-		UID    int64
-		Src    int
-		SrcSeq int64
-		Kind   string
-		Body   any
-		Size   int
+		Seq int64
+		op
+		Epoch int
+		More  bool
 	}
 	// acceptMsg is BB's short Accept broadcast from the sequencer.
 	// More mirrors the sequenced record's frame-boundary flag so a
@@ -367,30 +329,34 @@ type bbAccept struct {
 	more bool
 }
 
-// sendState tracks one of this member's broadcasts until it is
-// sequenced. A batched send (items != nil) tracks several ops that
-// travel in one frame; each op completes individually as it appears
-// in the sequenced stream, and retransmissions carry only the ops
-// still outstanding.
+// sendState tracks one frame's worth of this member's ops until they
+// are sequenced. Each op completes individually as it appears in the
+// sequenced stream. A packed send's retransmissions carry only the
+// ops still outstanding. One is allocated per send; the int32
+// counters keep it in the 112-byte size class.
 type sendState struct {
-	uid     int64
-	srcSeq  int64
-	kind    string
-	body    any
-	size    int
-	items   []batchItem // batched ops; nil for the single-op path
-	method  Method      // resolved (PB or BB)
-	retries int
-	cycles  int // consensus: full retry cycles, for retransmit backoff
+	items   []op   // the ops of this send
+	method  Method // resolved (PB or BB)
+	retries int32
+	cycles  int32 // consensus: full retry cycles, for retransmit backoff
 	timer   *sim.Event
+	one     [1]op // storage for a lone op's items
+}
+
+// packed reports whether the ops travel in a packed frame (grp-breq,
+// grp-bb-bdata): flushSend packs every send of more than one op.
+func (st *sendState) packed() bool { return len(st.items) > 1 }
+
+// loneSend returns the send state of a single op.
+func loneSend(o op, m Method) *sendState {
+	st := &sendState{method: m}
+	st.one[0] = o
+	st.items = st.one[:]
+	return st
 }
 
 // live reports whether any op of this send is still unacknowledged.
 func (st *sendState) live(g *Member) bool {
-	if st.items == nil {
-		_, ok := g.outstanding[st.uid]
-		return ok
-	}
 	for i := range st.items {
 		if g.outstanding[st.items[i].UID] == st {
 			return true
@@ -401,7 +367,14 @@ func (st *sendState) live(g *Member) bool {
 
 // Stats counts protocol activity at one member.
 type Stats struct {
-	Sent        int64
+	Sent int64
+	// PBSends counts each PB op once, at its originator: the request
+	// frame (or packed request frame) this member sent, or the
+	// sequenced frame or proposal carrying an op this member submitted
+	// as sequencer. A sequencer's frame that carries only other
+	// members' ops does not count, nor does the re-sequencing of its
+	// own ops after a view change: those were counted when their
+	// request frame went out. BBSends counts BB data frames sent.
 	PBSends     int64
 	BBSends     int64
 	Delivered   int64
@@ -443,7 +416,7 @@ type Member struct {
 	outQ    *sim.Queue[Delivery]
 
 	buffered    seqRing[*dataMsg]    // seq -> out-of-order data
-	pendingBB   map[int64]*bbDataMsg // uid -> BB data awaiting accept
+	pendingBB   map[int64]*op        // uid -> BB data awaiting accept
 	acceptedBB  map[int64]bbAccept   // seq -> accept waiting for its data
 	outstanding map[int64]*sendState // uid -> my unsequenced sends
 	gapTimer    *sim.Event
@@ -474,16 +447,16 @@ type Member struct {
 	trimMin   int64             // min status found by the last trim scan
 	trimOwn   bool              // last scan was limited by own progress
 
-	// Sequencer-side packers (batching only; see batch.go).
-	packQ     []batchItem // PB ops queued for the next packed frame
+	// Sequencer-side packers (see batch.go).
+	packQ     []op // PB ops queued for the next sequenced frame
 	packBytes int
 	packTimer *sim.Event
-	accQ      []batchItem // BB ops queued for the next packed accept
+	accQ      []op // BB ops queued for the next accept frame
 	accTimer  *sim.Event
 
-	// Sender-side packer (batching only): ops submitted in the same
-	// instant leave in one request frame.
-	sendQ     []batchItem
+	// Sender-side packer: ops submitted in the same instant leave in
+	// one request frame.
+	sendQ     []op
 	sendBytes int
 	sendArmed bool
 
@@ -566,6 +539,9 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	if cfg.Batch.MaxOps < 2 {
+		cfg.Batch.MaxOps = 1 // batching off: every packer flushes at enqueue
+	}
 	seq := cfg.Members[0]
 	maxID := 0
 	for _, id := range cfg.Members {
@@ -592,7 +568,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		seqNode:     seq,
 		nextSeq:     1,
 		outQ:        sim.NewQueue[Delivery](m.Env()),
-		pendingBB:   make(map[int64]*bbDataMsg),
+		pendingBB:   make(map[int64]*op),
 		acceptedBB:  make(map[int64]bbAccept),
 		outstanding: make(map[int64]*sendState),
 		memberIdx:   make([]int, maxID+1),
@@ -626,11 +602,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	}
 	g.port = cfg.Port
 	if g.port == "" {
-		if cfg.ShardCount > 1 {
-			g.port = fmt.Sprintf("%s%d", Port, cfg.Shard)
-		} else {
-			g.port = Port
-		}
+		g.port = Port
 	}
 	if len(cfg.Members) < m.Net().Nodes() {
 		g.castTo = append([]int(nil), cfg.Members...)
@@ -766,9 +738,6 @@ func (g *Member) Sequencer() int { return g.seqNode }
 // IsSequencer reports whether this member is the sequencer.
 func (g *Member) IsSequencer() bool { return g.isSeq }
 
-// NextSeq reports the next sequence number this member will deliver.
-func (g *Member) NextSeq() int64 { return g.nextSeq }
-
 // Stats returns a snapshot of this member's protocol counters.
 func (g *Member) Stats() Stats { return g.stats }
 
@@ -802,63 +771,20 @@ func (g *Member) resolveMethod(size int) Method {
 // stream). It returns the message uid; delivery order is defined by
 // the sequence numbers all members agree on. Broadcast does not wait
 // for delivery: callers needing write-completion semantics wait until
-// their uid appears in the delivery stream.
+// their uid appears in the delivery stream. The op joins the
+// sequencer's packer when this member sequences, the sender-side
+// packer otherwise; with batching off either flushes at once.
 func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
-	if g.cfg.Batch.Enabled() {
-		return g.submitOp(p, kind, body, size)
-	}
 	uid := g.m.ServiceID()
 	g.sendSeq++
 	g.stats.Sent++
+	o := op{UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Kind: kind, Body: body, Size: size}
 	if g.isSeq && g.installed {
-		// The sequencer sequences its own messages directly and
-		// broadcasts the sequenced data: one message on the wire.
-		d := &dataMsg{Seq: g.nextSeqNum(), UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Kind: kind, Body: body, Size: size, Epoch: g.epoch}
-		g.recordHistory(d)
-		if g.cfg.Protocol == Consensus {
-			// A consensus leader's own slot still needs quorum
-			// acceptance before anyone (including itself) delivers.
-			g.propose(p, []*dataMsg{d})
-			return uid
-		}
-		g.stats.PBSends++
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: size + hdrData})
-		g.processData(p, d)
-		return uid
+		g.enqueuePack(p, o)
+	} else {
+		g.enqueueSend(p, o)
 	}
-	st := &sendState{uid: uid, srcSeq: g.sendSeq, kind: kind, body: body, size: size, method: g.resolveMethod(size)}
-	g.outstanding[uid] = st
-	g.transmit(p, st)
-	g.armSenderTimer(st)
 	return uid
-}
-
-// transmit performs one send attempt for an outstanding message.
-func (g *Member) transmit(p *sim.Proc, st *sendState) {
-	if st.items != nil {
-		g.transmitBatch(p, st)
-		return
-	}
-	switch st.method {
-	case ForcePB:
-		g.stats.PBSends++
-		g.m.Send(p, g.seqNode, amoeba.Packet{
-			Port: g.port, Kind: "grp-req",
-			Body: reqMsg{UID: st.uid, Src: g.m.ID(), SrcSeq: st.srcSeq, Kind: st.kind, Body: st.body, Size: st.size},
-			Size: st.size + hdrData,
-		})
-	case ForceBB:
-		g.stats.BBSends++
-		// The sender keeps the same record it broadcasts; it will not
-		// hear its own frame, and nobody mutates the record.
-		bb := &bbDataMsg{UID: st.uid, Src: g.m.ID(), SrcSeq: st.srcSeq, Kind: st.kind, Body: st.body, Size: st.size}
-		g.pendingBB[st.uid] = bb
-		g.cast(p, amoeba.Packet{
-			Port: g.port, Kind: "grp-bb-data",
-			Body: bb,
-			Size: st.size + hdrData,
-		})
-	}
 }
 
 // armSenderTimer schedules retransmission for st until it is
@@ -889,7 +815,7 @@ func (g *Member) armSenderTimer(st *sendState) {
 		if g.cfg.Protocol == Consensus && limit > 1 {
 			limit--
 		}
-		if st.retries > limit {
+		if int(st.retries) > limit {
 			if g.cfg.Protocol != Consensus && g.seqAlive > 0 && p.Now()-g.seqAlive < g.stickWindow() {
 				// Deliveries are advancing, so the sequencer is alive and
 				// this op is stuck behind its backlog (typical right after
@@ -900,7 +826,6 @@ func (g *Member) armSenderTimer(st *sendState) {
 				g.armSenderTimer(st)
 				return
 			}
-			g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.uid)
 			g.suspectSequencer(p)
 			// Re-arm: the message is still outstanding and will be
 			// retransmitted to the new sequencer once elected.

@@ -11,9 +11,11 @@ import (
 func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	switch b := pkt.Body.(type) {
 	case reqMsg:
-		g.onRequest(p, b)
+		g.onRequest(p, op(b))
 	case *reqBatchMsg:
-		g.onReqBatch(p, b)
+		for _, o := range b.Items {
+			g.onRequest(p, o)
+		}
 	case *dataMsg:
 		// Sequenced data travels by pointer: every receiver (and the
 		// sequencer's own history) shares one record, which is never
@@ -23,15 +25,22 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 		// Retransmissions are restamped copies and travel by value.
 		g.processData(p, &b)
 	case *dataBatchMsg:
-		g.onDataBatch(p, b)
+		for _, d := range b.Items {
+			g.processData(p, d)
+		}
 	case *bbDataMsg:
-		g.onBBData(p, b)
+		g.onBBData(p, (*op)(b))
 	case *bbBatchMsg:
-		g.onBBBatch(p, b)
+		for i := range b.Items {
+			g.onBBData(p, &b.Items[i])
+		}
 	case acceptMsg:
 		g.onAccept(p, b)
 	case *acceptBatchMsg:
-		g.onAcceptBatch(p, b)
+		// Each (Seq+i, UIDs[i]) pair runs the single-accept logic.
+		for i, uid := range b.UIDs {
+			g.onAccept(p, acceptMsg{Seq: b.Seq + int64(i), UID: uid, Epoch: b.Epoch, More: i < len(b.UIDs)-1})
+		}
 	case retxReq:
 		g.onRetxReq(p, b)
 	case statusMsg:
@@ -88,12 +97,13 @@ func (g *Member) onHeartbeat(h hbMsg) {
 	}
 }
 
-// onRequest handles PB's RequestForBroadcast at the sequencer.
-func (g *Member) onRequest(p *sim.Proc, r reqMsg) {
+// onRequest handles one op of PB's RequestForBroadcast at the
+// sequencer: it dedups and joins the pack buffer.
+func (g *Member) onRequest(p *sim.Proc, o op) {
 	if !g.isSeq || !g.installed {
 		return // stale or uninstalled view; the sender will retry
 	}
-	if seq, dup := g.seenSeq(r.Src, r.SrcSeq); dup {
+	if seq, dup := g.seenSeq(o.Src, o.SrcSeq); dup {
 		// Retransmitted request: rebroadcast the sequenced message so
 		// the sender (and anyone else who missed it) sees it. Under
 		// consensus only chosen slots may travel as direct data — an
@@ -103,22 +113,11 @@ func (g *Member) onRequest(p *sim.Proc, r reqMsg) {
 		}
 		return
 	}
-	if g.cfg.Batch.Enabled() {
-		g.enqueuePack(p, batchItem{UID: r.UID, Src: r.Src, SrcSeq: r.SrcSeq, Kind: r.Kind, Body: r.Body, Size: r.Size})
-		return
-	}
-	d := &dataMsg{Seq: g.nextSeqNum(), UID: r.UID, Src: r.Src, SrcSeq: r.SrcSeq, Kind: r.Kind, Body: r.Body, Size: r.Size, Epoch: g.epoch}
-	g.recordHistory(d)
-	if g.cfg.Protocol == Consensus {
-		g.propose(p, []*dataMsg{d})
-		return
-	}
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
-	g.processData(p, d)
+	g.enqueuePack(p, o)
 }
 
-// onBBData handles BB's data broadcast at every member.
-func (g *Member) onBBData(p *sim.Proc, b *bbDataMsg) {
+// onBBData handles one op of BB's data broadcast at every member.
+func (g *Member) onBBData(p *sim.Proc, b *op) {
 	if g.isSeq && g.installed {
 		if seq, dup := g.seenSeq(b.Src, b.SrcSeq); dup {
 			// Retransmission: the accept may have been lost. Recover
@@ -132,15 +131,7 @@ func (g *Member) onBBData(p *sim.Proc, b *bbDataMsg) {
 				Body: acceptMsg{Seq: seq, UID: b.UID, Epoch: g.epoch, More: more}, Size: hdrAccept})
 			return
 		}
-		if g.cfg.Batch.Enabled() {
-			g.enqueueAccept(p, batchItem{UID: b.UID, Src: b.Src, SrcSeq: b.SrcSeq, Kind: b.Kind, Body: b.Body, Size: b.Size})
-			return
-		}
-		d := &dataMsg{Seq: g.nextSeqNum(), UID: b.UID, Src: b.Src, SrcSeq: b.SrcSeq, Kind: b.Kind, Body: b.Body, Size: b.Size, Epoch: g.epoch}
-		g.recordHistory(d)
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept",
-			Body: acceptMsg{Seq: d.Seq, UID: b.UID, Epoch: g.epoch}, Size: hdrAccept})
-		g.processData(p, d)
+		g.enqueueAccept(p, *b)
 		return
 	}
 	if g.isSeq {
@@ -150,7 +141,7 @@ func (g *Member) onBBData(p *sim.Proc, b *bbDataMsg) {
 	}
 	if acc, accepted := g.acceptedUID(b.UID); accepted {
 		// Accept arrived before the data: complete it now.
-		g.processData(p, &dataMsg{Seq: acc.seq, UID: b.UID, Src: b.Src, SrcSeq: b.SrcSeq, Kind: b.Kind, Body: b.Body, Size: b.Size, Epoch: g.epoch, More: acc.more})
+		g.processData(p, &dataMsg{Seq: acc.seq, op: *b, Epoch: g.epoch, More: acc.more})
 		return
 	}
 	g.pendingBB[b.UID] = b
@@ -188,7 +179,7 @@ func (g *Member) onAccept(p *sim.Proc, a acceptMsg) {
 	}
 	if bb, ok := g.pendingBB[a.UID]; ok {
 		delete(g.pendingBB, a.UID)
-		g.processData(p, &dataMsg{Seq: a.Seq, UID: a.UID, Src: bb.Src, SrcSeq: bb.SrcSeq, Kind: bb.Kind, Body: bb.Body, Size: bb.Size, Epoch: g.epoch, More: a.More})
+		g.processData(p, &dataMsg{Seq: a.Seq, op: *bb, Epoch: g.epoch, More: a.More})
 		return
 	}
 	// Data frame lost: remember the accept and fetch the payload from

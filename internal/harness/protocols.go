@@ -113,7 +113,7 @@ func PBBBExperiment(w io.Writer, scale Scale) {
 // point-to-point cluster and reports elapsed virtual time, message
 // count, and runtime statistics. It is the workload generator behind
 // the RTSCMP and DYNREPL experiments and their benchmarks.
-func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPerWrite, writeRun, rounds int) (sim.Time, int64, rts.P2PStats) {
+func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPerWrite, writeRun, rounds int) (sim.Time, int64, rts.RTSStats) {
 	env := sim.New(11)
 	np := netsim.DefaultParams()
 	np.BroadcastCapable = false
@@ -170,7 +170,7 @@ func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPer
 	env.Stop()
 	stats := nw.Stats()
 	env.Shutdown()
-	return end - start, stats.Messages, r.P2P().Stats()
+	return end - start, stats.Messages, r.P2P().Counters()
 }
 
 // counterType is a small int object for the protocol workloads.

@@ -190,14 +190,12 @@ func (nw *Network) deliver(f Frame, dst int, at sim.Time, frags int) {
 		now := nw.env.Now()
 		if nw.linkCut(f.Src, dst, now) {
 			nw.stats.FaultDrops++
-			nw.env.Tracef("net: partition cut %s %d->%d", f.Kind, f.Src, dst)
 			return
 		}
 		if p := nw.linkLoss(f.Src, dst, now); p > 0 {
 			for i := 0; i < frags; i++ {
 				if nw.env.Rand().Float64() < p {
 					nw.stats.FaultDrops++
-					nw.env.Tracef("net: fault loss %s %d->%d", f.Kind, f.Src, dst)
 					return
 				}
 			}
@@ -208,7 +206,6 @@ func (nw *Network) deliver(f Frame, dst int, at sim.Time, frags int) {
 		for i := 0; i < frags; i++ {
 			if nw.env.Rand().Float64() < nw.params.DropProb {
 				nw.stats.Drops++
-				nw.env.Tracef("net: drop %s %d->%d", f.Kind, f.Src, dst)
 				return
 			}
 		}

@@ -75,7 +75,6 @@ func (rt *Runtime) crashNode(node int) {
 	}
 	rt.sys.NodeCrashed(node)
 	rt.crashes = append(rt.crashes, rec)
-	rt.env.Tracef("orca: node %d crashed (%d procs, %d forks reaped)", node, rec.ProcsKilled, rec.ForksReaped)
 	if rt.liveProcs == 0 {
 		rt.env.Stop()
 	}

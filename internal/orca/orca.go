@@ -47,9 +47,10 @@ func (k RTSKind) String() string {
 // Batching amortizes the ordering protocol — frames per op drop
 // roughly by MaxOps under write-heavy load — at the cost of up to
 // Linger of added latency for a lone op. Results, guards, and
-// read-own-write force synchronization, so program semantics are
-// unchanged; virtual timings differ, which is why batched runs pin
-// their own determinism goldens.
+// read-own-write force synchronization, but a read of a different
+// object does not, so a batched program can observe a non-SC outcome
+// (see DESIGN.md, "Batching and frame packing"). Virtual timings
+// differ, which is why batched runs pin their own determinism goldens.
 type Batching struct {
 	// MaxOps flushes a batch at this many ops (minimum 2).
 	MaxOps int
@@ -125,9 +126,9 @@ type Config struct {
 	// Batching, when non-nil, turns on the broadcast runtime's
 	// batching pipeline (frame packing in the group layer plus
 	// per-worker write combining in the RTS). Off by default: the
-	// unbatched code paths are untouched and bit-identical. Batching
-	// applies to the sequencer groups only, never to primary-copy
-	// objects.
+	// group layer's packers then send one op per frame, the paper's
+	// PB/BB frames, and no write is combined. Batching applies to the
+	// sequencer groups only, never to primary-copy objects.
 	Batching *Batching
 	// Sequencer picks the initial group sequencer for the broadcast
 	// runtime (default: processor 0). Fault experiments use it to put
@@ -279,7 +280,9 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 		gcfg.Method = cfg.GroupMethod
 		gcfg.Protocol = cfg.Protocol
 		gcfg.Sequencer = ids[((k+cfg.Sequencer)%span+span)%span]
-		gcfg.Shard, gcfg.ShardCount = k, groups
+		if groups > 1 {
+			gcfg.Port = fmt.Sprintf("%s%d", group.Port, k) // co-hosted groups need distinct ports
+		}
 		if cfg.Batching != nil {
 			gcfg.Batch = cfg.Batching.batchConfig()
 			// Batched runs move MaxOps times the work per frame, so
@@ -335,9 +338,6 @@ func (rt *Runtime) System() *rts.Router { return rt.sys }
 
 // Net exposes the simulated network (for harness statistics).
 func (rt *Runtime) Net() *netsim.Network { return rt.net }
-
-// Machines exposes the simulated kernels.
-func (rt *Runtime) Machines() []*amoeba.Machine { return rt.machines }
 
 // Stats returns the unified runtime-system counter snapshot: the
 // sequencer groups fill the broadcast fields, the point-to-point

@@ -117,7 +117,7 @@ const (
 	adaptRehome
 )
 
-// String names the action for traces and tests.
+// String names the action in test output.
 func (a adaptAction) String() string {
 	switch a {
 	case adaptToPrimary:
@@ -358,7 +358,6 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 	info.cloned = nil
 	info.fromNode = w.Node()
 	info.start = env.Now()
-	env.Tracef("rts: object %d migration %s (target %d) from node %d", id, act, target, w.Node())
 	switch act {
 	case adaptToPrimary:
 		// Sequence the cut through the group's total order; the
@@ -385,8 +384,8 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "rehome", target)
 		info.migrating = false
 		info.last = env.Now()
-		r.migrations++
-		r.migrationUS += float64(env.Now()-info.start) / float64(sim.Microsecond)
+		r.stats.Migrations++
+		r.stats.MigrationVirtualUS += float64(env.Now()-info.start) / float64(sim.Microsecond)
 		info.cond.Broadcast()
 	}
 }
@@ -399,8 +398,8 @@ func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time
 	info.migrating = false
 	info.cloned = nil
 	info.last = now
-	r.migrations++
-	r.migrationUS += float64(now-info.start) / float64(sim.Microsecond)
+	r.stats.Migrations++
+	r.stats.MigrationVirtualUS += float64(now-info.start) / float64(sim.Microsecond)
 	info.cond.Broadcast()
 }
 

@@ -36,10 +36,7 @@ package rts
 // flush), so a streaming writer settles into one frame per
 // round-trip, MaxOps ops at a time.
 
-import (
-	"repro/internal/group"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // batchFlight tracks one in-flight batch: how many of its ops have
 // not yet been applied on the submitting machine.
@@ -50,13 +47,19 @@ type batchFlight struct {
 	cond      sim.Cond
 }
 
+// bufOp is one buffered write: its boxed wireOp and its wire size.
+type bufOp struct {
+	body any
+	size int
+}
+
 // writeBuf is a worker's combining buffer.
 type writeBuf struct {
 	mgr    *bcastManager
-	ops    []group.BatchOp
+	ops    []bufOp
 	insts  []*bcastInstance // objects with buffered writes
 	bytes  int
-	uids   []int64 // scratch for BroadcastBatch
+	uids   []int64 // scratch: the uids of the batch being flushed
 	flight *batchFlight
 	fl0    batchFlight // the pooled flight record (one in flight max)
 	timer  *sim.Event
@@ -65,7 +68,7 @@ type writeBuf struct {
 	// detaches the filled buffers before broadcasting (the broadcast
 	// blocks on the CPU, and the worker may buffer more ops
 	// meanwhile) and returns them cleared afterwards.
-	opsSpare   []group.BatchOp
+	opsSpare   []bufOp
 	instsSpare []*bcastInstance
 }
 
@@ -105,7 +108,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 		b.waitFlight(w.P)
 	}
 	size := SizeOfArgs(args) + len(opName) + 16
-	b.ops = append(b.ops, group.BatchOp{Kind: "rts-op", Body: wireOp{Obj: id, Op: opName, Args: args}, Size: size})
+	b.ops = append(b.ops, bufOp{body: wireOp{Obj: id, Op: opName, Args: args}, size: size})
 	b.bytes += size
 	found := false
 	for _, x := range b.insts {
@@ -117,7 +120,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 	if !found {
 		b.insts = append(b.insts, inst)
 	}
-	r.batchedOps++
+	r.stats.BatchedOps++
 	if len(b.ops) >= bc.MaxOps || (bc.MaxBytes > 0 && b.bytes >= bc.MaxBytes) {
 		if b.flight != nil {
 			b.waitFlight(w.P)
@@ -165,8 +168,11 @@ func (b *writeBuf) flush(p *sim.Proc) {
 	b.ops = b.opsSpare[:0]
 	b.insts = b.instsSpare[:0]
 	b.bytes = 0
-	mgr.rts.batchFrames++
-	b.uids = mgr.g.BroadcastBatch(p, ops, b.uids[:0])
+	mgr.rts.stats.Frames++
+	b.uids = b.uids[:0]
+	for _, op := range ops {
+		b.uids = append(b.uids, mgr.g.Broadcast(p, "rts-op", op.body, op.size))
+	}
 	for _, uid := range b.uids {
 		if _, done := mgr.early[uid]; done {
 			delete(mgr.early, uid)

@@ -49,8 +49,8 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 				t.Errorf("buffered set returned %v, want nil", res)
 			}
 		}
-		if r.groups[0].batchedOps < 3 {
-			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.groups[0].batchedOps)
+		if r.groups[0].stats.BatchedOps < 3 {
+			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.groups[0].stats.BatchedOps)
 		}
 		// Unrelated read: served with the writes still buffered.
 		if got := r.Invoke(w, other, "get")[0].(int); got != 7 {
@@ -107,11 +107,11 @@ func TestBatchedPutsDeliverExactlyOnce(t *testing.T) {
 			t.Fatalf("item %d = %d, want %d (order or duplication broke)", i, v, i)
 		}
 	}
-	if r.groups[0].batchedOps < int64(n) {
-		t.Errorf("batchedOps = %d, want >= %d", r.groups[0].batchedOps, n)
+	if r.groups[0].stats.BatchedOps < int64(n) {
+		t.Errorf("batchedOps = %d, want >= %d", r.groups[0].stats.BatchedOps, n)
 	}
-	if r.groups[0].batchFrames == 0 || r.groups[0].batchFrames >= r.groups[0].batchedOps {
-		t.Errorf("batchFrames = %d for %d ops: no amortization", r.groups[0].batchFrames, r.groups[0].batchedOps)
+	if r.groups[0].stats.Frames == 0 || r.groups[0].stats.Frames >= r.groups[0].stats.BatchedOps {
+		t.Errorf("batchFrames = %d for %d ops: no amortization", r.groups[0].stats.Frames, r.groups[0].stats.BatchedOps)
 	}
 	b.done()
 }
@@ -197,8 +197,8 @@ func TestBatchedManyWriters(t *testing.T) {
 	if want != n*per {
 		t.Fatalf("replicas hold %d items, want %d", want, n*per)
 	}
-	if r.groups[0].batchFrames*2 >= r.groups[0].batchedOps {
-		t.Errorf("weak amortization: %d frames for %d ops", r.groups[0].batchFrames, r.groups[0].batchedOps)
+	if r.groups[0].stats.Frames*2 >= r.groups[0].stats.BatchedOps {
+		t.Errorf("weak amortization: %d frames for %d ops", r.groups[0].stats.Frames, r.groups[0].stats.BatchedOps)
 	}
 	b.done()
 }

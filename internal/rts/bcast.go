@@ -65,15 +65,9 @@ type BroadcastRTS struct {
 	// NodeCrashed); forwarded operations route around them.
 	down map[int]bool
 
-	// Stats
-	localReads  int64
-	guardWaits  int64
-	bcastWrites int64
-	forwarded   int64
-	crashes     int64
-	opsRetried  int64
-	batchedOps  int64
-	batchFrames int64
+	// stats holds the runtime's own counters; Counters adds the group
+	// layer's recovery counters.
+	stats RTSStats
 }
 
 // Wire bodies for the group stream.
@@ -240,16 +234,7 @@ func (r *BroadcastRTS) noBatch(id ObjID) {
 
 // Counters returns the unified counter snapshot of this group.
 func (r *BroadcastRTS) Counters() RTSStats {
-	st := RTSStats{
-		LocalReads:  r.localReads,
-		BcastWrites: r.bcastWrites,
-		GuardWaits:  r.guardWaits,
-		Forwarded:   r.forwarded,
-		BatchedOps:  r.batchedOps,
-		Frames:      r.batchFrames,
-		Crashes:     r.crashes,
-		OpsRetried:  r.opsRetried,
-	}
+	st := r.stats
 	// Sequencer-recovery counters live in the group members below the
 	// runtime: elections and takeovers by max (survivors observe the
 	// same logical recovery), re-proposals by sum, recovery time as
@@ -284,7 +269,7 @@ func (r *BroadcastRTS) NodeCrashed(node int) {
 		return
 	}
 	r.down[node] = true
-	r.crashes++
+	r.stats.Crashes++
 }
 
 // create broadcasts the creation of object id so every replica holder
@@ -341,7 +326,7 @@ func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) [
 	// it to be applied on this machine.
 	mgr.syncBuf(w)
 	w.Flush()
-	r.bcastWrites++
+	r.stats.BcastWrites++
 	body := wireOp{Obj: id, Op: opName, Args: args}
 	uid := mgr.g.Broadcast(w.P, "rts-op", body, SizeOfArgs(args)+len(opName)+16)
 	return mgr.await(w.P, uid)
@@ -370,7 +355,7 @@ func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bo
 	if w.batch != nil && w.batch.holds(inst) {
 		w.batch.sync(w) // read-own-write: wait for the buffered writes
 	}
-	r.localReads++
+	r.stats.LocalReads++
 	inst.reads++
 	w.Charge(r.costs.ReadLocal + r.costs.opCost(op))
 	return inst.state, true
@@ -436,7 +421,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, ar
 			// the mixed router wait for the live placement.
 			return retrySlice
 		}
-		r.localReads++
+		r.stats.LocalReads++
 		inst.reads++
 		w.Charge(r.costs.ReadLocal + r.costs.opCost(op))
 		return w.applyLocal(op, inst.state, args)
@@ -460,11 +445,11 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, ar
 		}
 		w.Accrue(r.costs.GuardCheck)
 		if !op.Guard(inst.state, args) {
-			r.guardWaits++
+			r.stats.GuardWaits++
 			inst.cond.Wait(w.P)
 			continue
 		}
-		r.localReads++
+		r.stats.LocalReads++
 		inst.reads++
 		w.Accrue(r.costs.ReadLocal + r.costs.opCost(op))
 		return w.applyLocal(op, inst.state, args)

@@ -117,7 +117,7 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 // crash-recovery path of the runtime shares (see DESIGN.md).
 func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, opName string, args []any) []any {
 	w.Flush()
-	r.forwarded++
+	r.stats.Forwarded++
 	holders := r.placement(id)
 	if holders == nil {
 		holders = r.span
@@ -128,7 +128,7 @@ func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, opName st
 			continue
 		}
 		if !first {
-			r.opsRetried++
+			r.stats.OpsRetried++
 		}
 		first = false
 		rep, err := cl.Trans(w.P, holder, r.fwdPort, opName,
@@ -158,7 +158,7 @@ func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, 
 		if op.Guard != nil {
 			w.Accrue(r.costs.GuardCheck)
 			if !op.Guard(inst.state, args) {
-				r.guardWaits++
+				r.stats.GuardWaits++
 				inst.cond.Wait(w.P)
 				continue
 			}

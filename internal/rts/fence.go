@@ -111,7 +111,6 @@ func (r *Router) presumeAbort(node int) {
 					delete(r.fences[i], fid)
 				}
 			}
-			p.Env().Tracef("rts: fence %d presumed aborted (initiator %d crashed mid-reservation)", fid, node)
 		}
 	})
 }
@@ -304,7 +303,7 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) {
 		rec.cond.Wait(w.P)
 	}
 	r.fencing[node]--
-	r.fencedOps += int64(len(ops))
+	r.stats.FencedOps += int64(len(ops))
 }
 
 // forkFence broadcasts a barrier fence carrying body into every group

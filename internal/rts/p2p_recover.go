@@ -82,7 +82,7 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 		return // already re-homed by an earlier detector
 	}
 	// Prefer the lowest-numbered live machine holding a valid copy.
-	target, restart, recovered := -1, false, false
+	target, restart := -1, false
 	for _, n := range r.nodes {
 		if n.m.Crashed() {
 			continue
@@ -114,9 +114,7 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 			// An adaptive object may have left a frozen migration
 			// snapshot that beats restarting from the creation
 			// arguments (see Router.recoverState).
-			if st = r.router.recoverState(meta); st != nil {
-				recovered = true
-			}
+			st = r.router.recoverState(meta)
 		}
 		if st == nil {
 			st = meta.typ.New(meta.ctorArgs)
@@ -149,15 +147,6 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 		id := meta.id
 		nn.m.SpawnThread(fmt.Sprintf("obj%d", id), func(p *sim.Proc) { nn.objectLoop(p, id, q) })
 	}
-	old := meta.primary
 	meta.primary = target
 	r.stats.Rehomed++
-	switch {
-	case recovered:
-		nn.m.Env().Tracef("rts: object %d recovered on node %d from its migration snapshot (primary %d died)", meta.id, target, old)
-	case restart:
-		nn.m.Env().Tracef("rts: object %d restarted on node %d (primary %d died with the only copy)", meta.id, target, old)
-	default:
-		nn.m.Env().Tracef("rts: object %d re-homed %d -> %d", meta.id, old, target)
-	}
 }

@@ -258,7 +258,6 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 		n.finishTask(p, pt, retrySlice)
 	}
 	*pending = (*pending)[:0]
-	n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", id, n.m.ID(), target)
 	n.finishTask(p, t, nil)
 }
 

@@ -67,15 +67,14 @@ type Router struct {
 	fenceAborted []map[int64]bool
 	fencing      []int
 	fenceSeq     int64
-	fencedOps    int64
 
 	// adapt holds the placement controller of every adaptive object
 	// (see adapt.go); nil when no adaptive objects exist.
 	adapt map[ObjID]*adaptInfo
 
-	// Migration counters (see RTSStats).
-	migrations  int64
-	migrationUS float64
+	// stats holds the router's own counters: fenced ops and
+	// migrations (see RTSStats).
+	stats RTSStats
 }
 
 // homeP2P marks an object hosted by the point-to-point runtime.
@@ -434,15 +433,11 @@ func (r *Router) Fork(w *Worker, target int, body any, size int) {
 // Counters returns the unified counter snapshot: every subsystem's
 // counters merged, plus the router's own fence and migration counters.
 func (r *Router) Counters() RTSStats {
-	snaps := r.GroupCounters()
+	snaps := append(r.GroupCounters(), r.stats)
 	if r.p2p != nil {
 		snaps = append(snaps, r.p2p.Counters())
 	}
-	s := Merge(snaps...)
-	s.FencedOps = r.fencedOps
-	s.Migrations = r.migrations
-	s.MigrationVirtualUS = r.migrationUS
-	return s
+	return Merge(snaps...)
 }
 
 // GroupCounters reports each sequencer group's own counter snapshot,

@@ -159,11 +159,6 @@ type Env struct {
 	// it as a pending event when it sets the final clock (see advance).
 	lastDead Time
 
-	// Trace, when non-nil, receives a line per traced occurrence.
-	// It exists for debugging protocol implementations and is nil in
-	// normal runs.
-	Trace func(t Time, format string, args ...any)
-
 	// stats
 	dispatched int64
 }
@@ -186,13 +181,6 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Events reports the number of events dispatched so far; the engine
 // benchmarks use it to compute events/sec.
 func (e *Env) Events() int64 { return e.dispatched }
-
-// Tracef emits a trace line if tracing is enabled.
-func (e *Env) Tracef(format string, args ...any) {
-	if e.Trace != nil {
-		e.Trace(e.now, format, args...)
-	}
-}
 
 // getEvent returns a recycled internal event or a fresh one.
 func (e *Env) getEvent() *Event {
